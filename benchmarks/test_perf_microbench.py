@@ -64,8 +64,9 @@ SMILESS_MIN_ORION_FRACTION = 0.2
 #: sla 2.0, duration 150 s, env seed 0, sim seed 3) on the pre-optimization
 #: engine, measured in this repository's reference container from a git
 #: worktree at the seed commit: environments built once per app, then every
-#: cell's ``make_policy`` + ``run`` timed serially — the same accounting
-#: :func:`run_cell` uses.  Only comparable to full-mode runs.
+#: cell's ``make_policy`` + ``run`` timed serially.  :func:`run_cell` now
+#: times the simulation only, with policy construction and predictor
+#: training outside the timer.  Only comparable to full-mode runs.
 SEED_BASELINE_SECONDS = 17.05
 
 #: Acceptance floor for the optimized engine (indexed pools + cancellable

@@ -63,7 +63,7 @@ from repro.experiments import (
     run_scenario,
     run_sla_sweep,
 )
-from repro.experiments.runners import APP_BUILDERS, POLICY_NAMES
+from repro.experiments.runners import APP_BUILDERS, PAPER_APPS, POLICY_NAMES
 from repro.simulator.metrics import RETENTION_MODES
 from repro.workload.azure import PRESETS
 
@@ -470,7 +470,7 @@ def cmd_bench(args) -> int:
     out = args.out or (
         "BENCH_macro_sharded.json" if sharded else "BENCH_macro.json"
     )
-    apps = tuple(sorted(APP_BUILDERS))
+    apps = tuple(dict.fromkeys(args.apps))
     rate_per_app = 1.0 / PRESETS[args.preset].mean_gap
     aggregate_rate = rate_per_app * len(apps)
     duration = (
@@ -901,6 +901,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1_000_000,
         help="target aggregate arrival count (sets the horizon)",
+    )
+    p.add_argument(
+        "--apps",
+        nargs="+",
+        default=list(PAPER_APPS),
+        choices=sorted(APP_BUILDERS),
+        help="apps to co-run (default: the three Fig. 7 apps)",
     )
     p.add_argument("--preset", default="flood", choices=sorted(PRESETS))
     p.add_argument("--policy", default="grandslam", choices=POLICY_NAMES)

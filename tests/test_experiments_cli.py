@@ -1,5 +1,7 @@
 """Tests for the experiment runners and the CLI layer."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -89,6 +91,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Roberta" in out
         assert "robust=" in out
+
+    def test_macro_bench_defaults_to_paper_apps(self):
+        args = build_parser().parse_args(["bench", "--macro"])
+        assert args.apps == ["amber-alert", "image-query", "voice-assistant"]
+
+    def test_macro_bench_runs_chosen_apps_once_each(self, tmp_path, capsys):
+        out = tmp_path / "macro.json"
+        code = main(
+            [
+                "bench",
+                "--macro",
+                "--apps",
+                "image-query",
+                "amber-alert",
+                "image-query",
+                "--invocations",
+                "200",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        assert "2 apps" in capsys.readouterr().out
+        record = json.loads(out.read_text())
+        assert set(record["apps"]) == {"amber-alert", "image-query"}
+
+    def test_macro_bench_rejects_unknown_app(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--macro", "--apps", "nope"])
 
     def test_compare_command_end_to_end(self, capsys):
         code = main(
