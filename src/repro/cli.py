@@ -156,7 +156,7 @@ def cmd_multiapp(args) -> int:
             duration=args.duration,
             seed=args.seed + i,
         )
-        for i, name in enumerate(APP_BUILDERS)
+        for i, name in enumerate(PAPER_APPS)
     ]
     print(
         f"Co-running {len(envs)} applications on one shared cluster "
@@ -470,9 +470,8 @@ def cmd_bench(args) -> int:
     out = args.out or (
         "BENCH_macro_sharded.json" if sharded else "BENCH_macro.json"
     )
-    apps = tuple(dict.fromkeys(args.apps))
     rate_per_app = 1.0 / PRESETS[args.preset].mean_gap
-    aggregate_rate = rate_per_app * len(apps)
+    aggregate_rate = rate_per_app * len(PAPER_APPS)
     duration = (
         float(args.duration)
         if args.duration is not None
@@ -485,7 +484,7 @@ def cmd_bench(args) -> int:
         else ""
     )
     print(
-        f"macro bench: {len(apps)} apps x preset {args.preset!r} "
+        f"macro bench: {len(PAPER_APPS)} apps x preset {args.preset!r} "
         f"(~{aggregate_rate:.0f} arrivals/s aggregate) for {duration:.0f}s "
         f"under {args.policy!r}, retention={args.retention!r}{shard_banner}"
     )
@@ -498,7 +497,7 @@ def cmd_bench(args) -> int:
                 duration=duration,
                 seed=args.seed,
             )
-            for name in apps
+            for name in PAPER_APPS
         ),
         policy=args.policy,
         sim_seed=args.seed + 3,
@@ -901,13 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1_000_000,
         help="target aggregate arrival count (sets the horizon)",
-    )
-    p.add_argument(
-        "--apps",
-        nargs="+",
-        default=list(PAPER_APPS),
-        choices=sorted(APP_BUILDERS),
-        help="apps to co-run (default: the three Fig. 7 apps)",
     )
     p.add_argument("--preset", default="flood", choices=sorted(PRESETS))
     p.add_argument("--policy", default="grandslam", choices=POLICY_NAMES)

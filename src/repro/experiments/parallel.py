@@ -91,17 +91,15 @@ class CellSpec:
 class MultiAppCellSpec:
     """One co-run cell: several environments sharing a cluster (§VII-A).
 
-    ``seeding`` selects the per-app seed derivation of
-    :class:`~repro.simulator.multiapp.MultiAppSimulator` ("name" is
-    order-independent, "legacy" positional).  ``trace_dir`` opts the cell
-    into telemetry exactly like :class:`CellSpec` (one JSONL file for the
-    whole co-run, all tenants interleaved).
+    Each tenant's seed derives from ``sim_seed`` and its app name
+    (:func:`~repro.simulator.runtime.derive_app_seed`).  ``trace_dir`` opts
+    the cell into telemetry exactly like :class:`CellSpec` (one JSONL file
+    for the whole co-run, all tenants interleaved).
     """
 
     envs: tuple[EnvSpec, ...]
     policy: str
     sim_seed: int = 3
-    seeding: str = "name"
     trace_dir: str | None = None
     init_failure_rate: float = 0.0
     faults: "FaultPlan | None" = None
@@ -333,7 +331,6 @@ def _run_multiapp_cell(spec: MultiAppCellSpec) -> CellResult:
     sim = MultiAppSimulator(
         deployments,
         seed=spec.sim_seed,
-        seeding=spec.seeding,
         recorder=recorder,
         init_failure_rate=spec.init_failure_rate,
         faults=spec.faults,

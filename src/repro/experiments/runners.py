@@ -3,15 +3,14 @@
 Every runner compiles its axes through the
 :class:`~repro.experiments.scenario.ScenarioSpec` compiler and executes
 through :func:`~repro.experiments.parallel.run_grid` — serial execution is
-``workers=1`` on the same path, not a separate branch.  Hand-rolled
-environments (``env.spec is None``) cannot be rebuilt inside worker
-processes; those fall back to direct in-process execution and *warn* when
-``workers > 1`` was requested.
+``workers=1`` on the same path, not a separate branch.  Cells carry the
+environment's build recipe (:attr:`Environment.spec`), not the environment
+itself, so every worker rebuilds exactly what :func:`build_environment`
+built.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,22 +28,11 @@ from repro.dag import (
     voice_assistant,
 )
 from repro.dag.graph import AppDAG
-from repro.experiments.parallel import (
-    CellSpec,
-    EnvSpec,
-    MultiAppCellSpec,
-    run_grid,
-)
+from repro.experiments.parallel import EnvSpec, MultiAppCellSpec, run_grid
 from repro.experiments.scenario import ScenarioSpec
 from repro.policies import make_policy as registry_make_policy
 from repro.policies import policy_names
 from repro.profiler import OfflineProfiler, oracle_profile
-from repro.simulator import (
-    Deployment,
-    MultiAppSimulator,
-    RunMetrics,
-    ServerlessSimulator,
-)
 from repro.workload import AzureLikeWorkload, AzureTraceWorkload, Trace
 
 APP_BUILDERS = {
@@ -64,17 +52,6 @@ PAPER_APPS = ("amber-alert", "image-query", "voice-assistant")
 POLICY_NAMES = policy_names()
 
 
-def _warn_serial_fallback(what: str, workers: int) -> None:
-    warnings.warn(
-        f"{what} carries no build spec (env.spec is None), so it cannot be "
-        f"rebuilt in worker processes; ignoring workers={workers} and "
-        "running serially in-process. Build environments with "
-        "build_environment() to enable parallel execution.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass
 class Environment:
     """A profiled application plus its training history and eval trace."""
@@ -84,10 +61,9 @@ class Environment:
     oracle: dict
     train_counts: np.ndarray
     trace: Trace
-    # Picklable recipe this environment was built from; lets parallel
-    # runners rebuild it inside worker processes.  ``None`` for hand-rolled
-    # environments, which then fall back to serial execution.
-    spec: EnvSpec | None = None
+    # Picklable recipe this environment was built from; the runners ship
+    # it to grid cells, which rebuild the environment from it.
+    spec: EnvSpec
 
     def make_policy(self, name: str):
         """Instantiate a policy by registry name (see ``repro.policies.registry``)."""
@@ -159,10 +135,6 @@ class ComparisonRow:
     reinit_fraction: float
 
     @classmethod
-    def from_metrics(cls, policy: str, m: RunMetrics) -> "ComparisonRow":
-        return cls.from_summary(policy, m.summary())
-
-    @classmethod
     def from_summary(cls, policy: str, s: dict) -> "ComparisonRow":
         return cls(
             policy=policy,
@@ -193,25 +165,6 @@ def run_comparison(
     ``init_failure_rate`` / ``faults`` inject the same failure regime into
     every policy's run, making chaos comparisons apples-to-apples.
     """
-    if env.spec is None:
-        if workers > 1:
-            _warn_serial_fallback("run_comparison environment", workers)
-        return [
-            ComparisonRow.from_metrics(
-                name,
-                ServerlessSimulator(
-                    env.app,
-                    env.trace,
-                    env.make_policy(name),
-                    seed=seed,
-                    init_failure_rate=init_failure_rate,
-                    faults=faults,
-                    overload=overload,
-                    retention=retention,
-                ).run(),
-            )
-            for name in policies
-        ]
     scenario = ScenarioSpec.for_environment(
         env.spec,
         policies=tuple(policies),
@@ -244,31 +197,6 @@ def run_sla_sweep(
     With ``workers > 1`` the SLA points run in parallel worker processes,
     through the same grid path a serial run uses.
     """
-    if env.spec is None:
-        if workers > 1:
-            _warn_serial_fallback("run_sla_sweep environment", workers)
-        out = []
-        for sla in slas:
-            app = env.app.with_sla(sla)
-            tuned = Environment(
-                app=app,
-                profiles=env.profiles,
-                oracle=env.oracle,
-                train_counts=env.train_counts,
-                trace=env.trace,
-            )
-            metrics = ServerlessSimulator(
-                app,
-                env.trace,
-                tuned.make_policy(policy),
-                seed=seed,
-                init_failure_rate=init_failure_rate,
-                faults=faults,
-                overload=overload,
-                retention=retention,
-            ).run()
-            out.append((sla, ComparisonRow.from_metrics(policy, metrics)))
-        return out
     scenario = ScenarioSpec.for_environment(
         env.spec,
         policies=(policy,),
@@ -291,7 +219,6 @@ def run_multi_app(
     *,
     seed: int = 3,
     workers: int = 1,
-    seeding: str = "name",
     init_failure_rate: float = 0.0,
     faults: "FaultPlan | None" = None,
     overload: "OverloadSpec | None" = None,
@@ -308,50 +235,25 @@ def run_multi_app(
         raise ValueError("need at least one environment")
     single = isinstance(policies, str)
     names = (policies,) if single else tuple(policies)
-    specs = [env.spec for env in envs]
-    if any(spec is None for spec in specs):
-        if workers > 1:
-            _warn_serial_fallback("run_multi_app environment", workers)
-        results = {}
-        for name in names:
-            deployments = [
-                Deployment(env.app, env.trace, env.make_policy(name))
-                for env in envs
-            ]
-            metrics = MultiAppSimulator(
-                deployments,
-                seed=seed,
-                seeding=seeding,
-                init_failure_rate=init_failure_rate,
-                faults=faults,
-                overload=overload,
-                retention=retention,
-            ).run()
-            results[name] = {
-                app: ComparisonRow.from_metrics(name, m)
-                for app, m in metrics.items()
-            }
-    else:
-        cells = [
-            MultiAppCellSpec(
-                envs=tuple(specs),
-                policy=name,
-                sim_seed=seed,
-                seeding=seeding,
-                init_failure_rate=init_failure_rate,
-                faults=faults,
-                overload=overload,
-                retention=retention,
-            )
-            for name in names
-        ]
-        results = {
-            res.spec.policy: {
-                app: ComparisonRow.from_summary(res.spec.policy, summary)
-                for app, summary in res.summary.items()
-            }
-            for res in run_grid(cells, workers=workers)
+    cells = [
+        MultiAppCellSpec(
+            envs=tuple(env.spec for env in envs),
+            policy=name,
+            sim_seed=seed,
+            init_failure_rate=init_failure_rate,
+            faults=faults,
+            overload=overload,
+            retention=retention,
+        )
+        for name in names
+    ]
+    results = {
+        res.spec.policy: {
+            app: ComparisonRow.from_summary(res.spec.policy, summary)
+            for app, summary in res.summary.items()
         }
+        for res in run_grid(cells, workers=workers)
+    }
     return results[names[0]] if single else results
 
 

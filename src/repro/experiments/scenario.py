@@ -61,9 +61,6 @@ class ScenarioSpec:
     #: Co-run all ``apps`` on one shared cluster per cell (§VII-A) instead
     #: of simulating each app solo.
     co_run: bool = False
-    #: Per-app seeding for co-run cells: "name" (order-independent) or
-    #: "legacy" (positional, pre-refactor compatible).
-    seeding: str = "name"
     #: Opt every cell into telemetry: each run is recorded and its event
     #: stream written as JSONL into this directory (one file per cell).
     #: ``None`` (default) records nothing.
@@ -229,7 +226,6 @@ class ScenarioSpec:
                     ),
                     policy=policy,
                     sim_seed=seed,
-                    seeding=self.seeding,
                     trace_dir=self.trace_dir,
                     init_failure_rate=self.init_failure_rate,
                     faults=self.faults,
@@ -296,7 +292,6 @@ class ScenarioSpec:
             ),
             policy=self.policies[0],
             sim_seed=self.seeds[0],
-            seeding=self.seeding,
             init_failure_rate=self.init_failure_rate,
             overload=self.overload,
             retention=self.retention,

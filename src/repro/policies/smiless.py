@@ -173,9 +173,6 @@ class SMIlessPolicy(Policy):
         # window ticks, so all predictions are constant while its length is.
         self._pred_win = -1
         self._pred_cache: dict[str, float | int] = {}
-        # Mirror of the directives this policy has issued, for the
-        # unchanged-directive skip (the gateway holds the same mapping).
-        self._issued_directives: dict[str, FunctionDirective] = {}
 
     # -- predictor training -------------------------------------------------
     def _train(self, counts: np.ndarray, seed: int) -> None:
@@ -382,27 +379,6 @@ class SMIlessPolicy(Policy):
             cached = self._standing_batch_cache[key] = max(1, min(batch, 8))
         return cached
 
-    def _set_directive(
-        self,
-        ctx: SimulationContext,
-        fn: str,
-        directive: FunctionDirective,
-        reason: str,
-    ) -> None:
-        """Issue a directive, skipping no-op re-issues on untraced runs.
-
-        Re-issuing a directive equal to the standing one changes nothing
-        in the simulation, so cross-window churn (regime refreshes, burst
-        holdover re-installs) can be elided.  Under a recorder every
-        ``set_directive`` emits a distinct ``DirectiveChanged`` audit
-        event, so the skip is gated on ``ctx.traced`` to keep recorded
-        traces byte-identical.
-        """
-        if not ctx.traced and self._issued_directives.get(fn) == directive:
-            return
-        self._issued_directives[fn] = directive
-        ctx.set_directive(fn, directive, reason)
-
     def _install_strategy(self, strategy: ExecutionStrategy, ctx: SimulationContext) -> None:
         assert self._app is not None
         self.strategy = strategy
@@ -446,8 +422,7 @@ class SMIlessPolicy(Policy):
                         f"{self._current_it:.2f}s"
                     )
                 )
-                self._set_directive(
-                    ctx,
+                ctx.set_directive(
                     fn,
                     FunctionDirective(
                         config=plan.config,
@@ -462,8 +437,7 @@ class SMIlessPolicy(Policy):
                     ),
                 )
             else:
-                self._set_directive(
-                    ctx,
+                ctx.set_directive(
                     fn,
                     FunctionDirective(
                         config=plan.config,
@@ -596,8 +570,7 @@ class SMIlessPolicy(Policy):
             )
             for fn, d in decisions.items():
                 plan = self.strategy.plan(fn)
-                self._set_directive(
-                    ctx,
+                ctx.set_directive(
                     fn,
                     FunctionDirective(
                         config=d.config,
@@ -627,8 +600,7 @@ class SMIlessPolicy(Policy):
             self._inactive = True
             for fn in ctx.app.function_names:
                 d = ctx.directive(fn)
-                self._set_directive(
-                    ctx,
+                ctx.set_directive(
                     fn,
                     FunctionDirective(
                         config=d.config, keep_alive=0.0, batch=1, min_warm=0,
@@ -653,8 +625,7 @@ class SMIlessPolicy(Policy):
                 continue
             d = ctx.directive(fn)
             if abs(d.warm_grace - grace) > 0.5:
-                self._set_directive(
-                    ctx,
+                ctx.set_directive(
                     fn,
                     FunctionDirective(
                         config=d.config,

@@ -221,13 +221,8 @@ class SimDriver:
             drain_timeout=drain_timeout, overload=cell.overload
         )
         self.gateways: dict[str, LiveGateway] = {}
-        for i, spec in enumerate(cell.envs):
+        for spec in cell.envs:
             env = _environment(spec)
-            seed = (
-                cell.sim_seed + i
-                if cell.seeding == "legacy"
-                else derive_app_seed(cell.sim_seed, env.app.name)
-            )
             gateway = LiveGateway(
                 env.app,
                 env.make_policy(cell.policy),
@@ -235,7 +230,7 @@ class SimDriver:
                 horizon=self.horizon,
                 capacity=capacity,
                 window=window,
-                seed=seed,
+                seed=derive_app_seed(cell.sim_seed, env.app.name),
                 noisy=noisy,
                 init_failure_rate=cell.init_failure_rate,
                 retention=cell.retention,
@@ -458,7 +453,6 @@ class SimDriver:
             "envs": [asdict(spec) for spec in cell.envs],
             "policy": cell.policy,
             "sim_seed": cell.sim_seed,
-            "seeding": cell.seeding,
             "init_failure_rate": cell.init_failure_rate,
             "retention": cell.retention,
             "overload": (

@@ -36,13 +36,23 @@ __all__ = ["ReplayResult", "cell_from_header", "replay_request_log", "verify_rep
 
 
 def cell_from_header(header: dict[str, Any]) -> MultiAppCellSpec:
-    """Rebuild the recorded session's co-run cell from a log header."""
+    """Rebuild the recorded session's co-run cell from a log header.
+
+    Older logs name their per-app seed rule (``"seeding": "name"``); the
+    name-derived rule is the only one a session can run under, so any
+    other value is rejected rather than silently replayed differently.
+    """
+    rule = header.get("seeding", "name")
+    if rule != "name":
+        raise ValueError(
+            f"request log uses unsupported per-app seed rule {rule!r}; "
+            "only name-derived seeds (\"name\") can be replayed"
+        )
     overload = header.get("overload")
     return MultiAppCellSpec(
         envs=tuple(EnvSpec(**env) for env in header["envs"]),
         policy=header["policy"],
         sim_seed=header["sim_seed"],
-        seeding=header.get("seeding", "name"),
         init_failure_rate=header.get("init_failure_rate", 0.0),
         overload=(
             OverloadSpec.from_dict(overload) if overload is not None else None
@@ -81,7 +91,6 @@ def replay_request_log(path: str | Path) -> ReplayResult:
         window=parsed.header.get("window", 1.0),
         drain_timeout=parsed.header.get("drain_timeout", 300.0),
         seed=cell.sim_seed,
-        seeding=cell.seeding,
         init_failure_rate=cell.init_failure_rate,
         overload=cell.overload,
         retention=cell.retention,

@@ -10,10 +10,10 @@ lifecycle and windowing semantics live in the gateway — see
 :mod:`repro.simulator.gateway` for the §VI mechanism rules and
 ``docs/architecture.md`` for the layering.
 
-The facade keeps the historical surface: gateway state (``pools``,
-``queues``, ``directives``, ``pending_launches``, ...) is reachable
-directly on the simulator, and ``run()`` returns the single app's
-:class:`~repro.simulator.metrics.RunMetrics`.
+The facade exposes the shared mechanism (``events``, ``cluster``) and
+the run lifecycle; ``run()`` returns the single app's
+:class:`~repro.simulator.metrics.RunMetrics`.  Per-application state
+(``pools``, ``queues``, ``directives``, ...) lives on ``sim.gateway``.
 """
 
 from __future__ import annotations
@@ -116,13 +116,3 @@ class ServerlessSimulator:
     def run(self) -> RunMetrics:
         """Execute the full trace and return the run metrics."""
         return self.runtime.run()[self.gateway.app.name]
-
-    # Everything per-application — pools, queues, directives, metrics,
-    # dispatch internals — is gateway state; delegate transparently so the
-    # historical single-app surface keeps working.
-    def __getattr__(self, name: str):
-        try:
-            gateway = object.__getattribute__(self, "gateway")
-        except AttributeError:
-            raise AttributeError(name) from None
-        return getattr(gateway, name)

@@ -169,16 +169,6 @@ class SimulationContext:
         """
         self._gw.schedule_warmup(function, start_time, config, count)
 
-    @property
-    def traced(self) -> bool:
-        """Whether this run records a telemetry trace.
-
-        Policies may skip semantically idempotent bookkeeping (e.g.
-        re-issuing an unchanged directive) only when untraced; under a
-        recorder every emission is part of the audit trail.
-        """
-        return self._gw._rec is not None
-
     def counts_history(self) -> np.ndarray:
         """Invocation counts of all *completed* windows so far.
 

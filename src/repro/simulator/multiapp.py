@@ -9,13 +9,12 @@ one :class:`~repro.simulator.gateway.Gateway` per deployment, so capacity
 pressure from one application back-pressures the others exactly as on the
 real testbed.
 
-Seeding (``seeding=``):
-
-- ``"name"`` (default) — each tenant's seed derives from the root seed and
-  its *application name* (:func:`~repro.simulator.runtime.derive_app_seed`),
-  so results are invariant under deployment reordering;
-- ``"legacy"`` — the historical positional scheme (``seed + index``),
-  reproducing pre-refactor :class:`MultiAppSimulator` results bit for bit.
+Each tenant's seed derives from the root seed and its application name
+(:func:`~repro.simulator.runtime.derive_app_seed`), so results are
+invariant under deployment reordering.  Callers that need another seed
+per tenant add the gateways to a :class:`~repro.simulator.runtime.Runtime`
+themselves (:meth:`~repro.simulator.runtime.Runtime.add_app` takes the
+seed directly).
 """
 
 from __future__ import annotations
@@ -25,12 +24,7 @@ from typing import TYPE_CHECKING
 from repro.simulator.cluster import Cluster
 from repro.simulator.events import EventQueue
 from repro.simulator.metrics import RunMetrics
-from repro.simulator.runtime import (
-    SEEDING_MODES,
-    Deployment,
-    Runtime,
-    derive_app_seed,
-)
+from repro.simulator.runtime import Deployment, Runtime, derive_app_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.faults.plan import FaultPlan
@@ -52,7 +46,6 @@ class MultiAppSimulator:
         drain_timeout: float = 300.0,
         seed: int = 0,
         noisy: bool = True,
-        seeding: str = "name",
         recorder: "Recorder | None" = None,
         init_failure_rate: float = 0.0,
         faults: "FaultPlan | None" = None,
@@ -61,14 +54,6 @@ class MultiAppSimulator:
     ) -> None:
         if not deployments:
             raise ValueError("need at least one deployment")
-        names = [d.app.name for d in deployments]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate application names: {names}")
-        if seeding not in SEEDING_MODES:
-            raise ValueError(
-                f"unknown seeding mode {seeding!r}; "
-                f"expected one of {SEEDING_MODES}"
-            )
         self.runtime = Runtime(
             cluster=cluster,
             drain_timeout=drain_timeout,
@@ -82,16 +67,12 @@ class MultiAppSimulator:
                 d.trace,
                 d.policy,
                 window=window,
-                seed=(
-                    seed + i
-                    if seeding == "legacy"
-                    else derive_app_seed(seed, d.app.name)
-                ),
+                seed=derive_app_seed(seed, d.app.name),
                 noisy=noisy,
                 init_failure_rate=init_failure_rate,
                 retention=retention,
             )
-            for i, d in enumerate(deployments)
+            for d in deployments
         ]
 
     @property
@@ -103,11 +84,6 @@ class MultiAppSimulator:
     def cluster(self) -> Cluster:
         """The shared capacity model all tenants contend on."""
         return self.runtime.cluster
-
-    @property
-    def simulators(self) -> list:
-        """Per-app gateways (historical alias from the pre-runtime API)."""
-        return self.gateways
 
     def run(self) -> dict[str, RunMetrics]:
         """Serve all traces to completion; metrics keyed by app name."""

@@ -10,11 +10,10 @@ runtime with one gateway; the paper's §VII-A co-run is the same runtime
 with three.  Capacity pressure from one tenant back-pressures the others
 through the shared cluster exactly as on the real 8-machine testbed.
 
-Per-application seeding comes in two flavours (see
-:func:`derive_app_seed`): *name-derived* seeds are stable under deployment
-reordering — adding or permuting tenants never perturbs another tenant's
-noise streams — while the *legacy* positional scheme (``seed + index``)
-reproduces the historical :class:`MultiAppSimulator` results bit for bit.
+:meth:`Runtime.add_app` takes each gateway's seed as given; every
+multi-tenant entry point derives it from the root seed and the
+application name (:func:`derive_app_seed`), so adding or permuting
+tenants never perturbs another tenant's noise streams.
 
 The runtime also owns the telemetry plane's sink: one
 :class:`~repro.telemetry.recorder.Recorder` shared by every gateway (the
@@ -45,10 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.overload.spec import OverloadSpec
     from repro.policies.base import Policy
     from repro.telemetry.recorder import Recorder
-
-
-#: Recognised per-app seeding schemes for multi-tenant runs.
-SEEDING_MODES = ("name", "legacy")
 
 
 def derive_app_seed(seed: int, app_name: str) -> int:

@@ -116,9 +116,10 @@ def test_smiless_amber_summary_bit_identical():
 def test_smiless_trace_and_audit_digests_bit_identical(environment, tmp_path):
     """Traced runs must re-emit the exact pre-optimization event stream.
 
-    Directive reuse may only skip re-issues on *untraced* runs, so the
-    JSONL trace and the decision-audit rendering of a recorded run pin
-    the full ``DirectiveChanged`` churn byte for byte.
+    The policy issues every directive the same way whether or not a
+    recorder is attached, so the JSONL trace and the decision-audit
+    rendering of a recorded run pin the full ``DirectiveChanged`` churn
+    byte for byte — and, with it, the decisions of untraced runs.
     """
     env = environment
     rec = TraceRecorder()

@@ -31,17 +31,17 @@ class TestRetryPendingLaunches:
         hold_small = cluster.try_allocate(HardwareConfig.cpu(2))
         assert hold_big is not None and hold_small is not None
 
-        sim.pending_launches[blocked_fn].append(HardwareConfig.cpu(8))
-        sim.pending_launches[small_fn].append(HardwareConfig.cpu(2))
+        sim.gateway.pending_launches[blocked_fn].append(HardwareConfig.cpu(8))
+        sim.gateway.pending_launches[small_fn].append(HardwareConfig.cpu(2))
 
         # Free 2 cores: the first function's cpu(8) launch still cannot
         # fit, but the second function's cpu(2) launch now can.
         cluster.release(hold_small)
-        sim._retry_pending_launches()
+        sim.gateway._retry_pending_launches()
 
-        assert list(sim.pending_launches[blocked_fn]) == [HardwareConfig.cpu(8)]
-        assert not sim.pending_launches[small_fn]
-        assert sim.pools[small_fn].initializing_count() == 1
+        assert list(sim.gateway.pending_launches[blocked_fn]) == [HardwareConfig.cpu(8)]
+        assert not sim.gateway.pending_launches[small_fn]
+        assert sim.gateway.pools[small_fn].initializing_count() == 1
 
     def test_multiple_pending_same_function_drain_in_order(self):
         cluster = Cluster.build(n_machines=1, cores_per_machine=8)
@@ -56,14 +56,14 @@ class TestRetryPendingLaunches:
         sim.setup()
         (fn,) = app.function_names
         hold = cluster.try_allocate(HardwareConfig.cpu(8))
-        sim.pending_launches[fn].extend(
+        sim.gateway.pending_launches[fn].extend(
             [HardwareConfig.cpu(2), HardwareConfig.cpu(2), HardwareConfig.cpu(8)]
         )
         cluster.release(hold)
-        sim._retry_pending_launches()
+        sim.gateway._retry_pending_launches()
         # Both cpu(2) launches fit (4 of 8 cores); the cpu(8) head remains.
-        assert list(sim.pending_launches[fn]) == [HardwareConfig.cpu(8)]
-        assert sim.pools[fn].initializing_count() == 2
+        assert list(sim.gateway.pending_launches[fn]) == [HardwareConfig.cpu(8)]
+        assert sim.gateway.pools[fn].initializing_count() == 2
 
 
 class TestHeapBoundedness:

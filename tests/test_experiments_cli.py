@@ -11,7 +11,7 @@ from repro.experiments import (
     run_multi_app,
     run_sla_sweep,
 )
-from repro.experiments.runners import POLICY_NAMES, ComparisonRow
+from repro.experiments.runners import PAPER_APPS, POLICY_NAMES, ComparisonRow
 
 
 @pytest.fixture(scope="module")
@@ -92,34 +92,30 @@ class TestCli:
         assert "Roberta" in out
         assert "robust=" in out
 
-    def test_macro_bench_defaults_to_paper_apps(self):
-        args = build_parser().parse_args(["bench", "--macro"])
-        assert args.apps == ["amber-alert", "image-query", "voice-assistant"]
-
-    def test_macro_bench_runs_chosen_apps_once_each(self, tmp_path, capsys):
+    def test_macro_bench_defaults_to_paper_apps(self, tmp_path, capsys):
         out = tmp_path / "macro.json"
         code = main(
-            [
-                "bench",
-                "--macro",
-                "--apps",
-                "image-query",
-                "amber-alert",
-                "image-query",
-                "--invocations",
-                "200",
-                "--out",
-                str(out),
-            ]
+            ["bench", "--macro", "--invocations", "200", "--out", str(out)]
         )
         assert code == 0
-        assert "2 apps" in capsys.readouterr().out
+        assert "3 apps" in capsys.readouterr().out
         record = json.loads(out.read_text())
-        assert set(record["apps"]) == {"amber-alert", "image-query"}
+        assert set(record["apps"]) == set(PAPER_APPS)
 
-    def test_macro_bench_rejects_unknown_app(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--macro", "--apps", "nope"])
+    def test_multiapp_co_runs_paper_apps(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        seen = []
+
+        def spy(envs, *args, **kwargs):
+            seen.append([env.app.name for env in envs])
+            return run_multi_app(envs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_multi_app", spy)
+        code = main(["multiapp", "--policy", "grandslam", "--duration", "30"])
+        assert code == 0
+        assert seen == [list(PAPER_APPS)]
+        assert "Co-running 3 applications" in capsys.readouterr().out
 
     def test_compare_command_end_to_end(self, capsys):
         code = main(

@@ -431,6 +431,34 @@ class TestBrownout:
         assert_conserved_extended(trace, m)
         assert_overload_reconstructs(m, rec)
 
+    @pytest.mark.parametrize("delay", [0.05, 0.2, 0.5, 1.0])
+    def test_smiless_traced_and_untraced_runs_agree(self, delay):
+        """Observing a run must not change it: when brownout swaps in the
+        degraded tier, smiless must reclaim the function with the same
+        directives whether or not a recorder is attached."""
+        env = build_environment(
+            "image-query",
+            preset="bursty",
+            duration=300.0,
+            train_duration=1200.0,
+            seed=0,
+        )
+        spec = OverloadSpec(
+            brownout_queue_delay=delay, brownout_recover_delay=delay / 4
+        )
+
+        def summary(recorder):
+            return ServerlessSimulator(
+                env.app,
+                env.trace,
+                env.make_policy("smiless"),
+                seed=3,
+                overload=spec,
+                recorder=recorder,
+            ).run().summary()
+
+        assert summary(None) == summary(TraceRecorder())
+
 
 # -------------------------------------------- flash crowds / retry storms
 class TestFlashCrowd:

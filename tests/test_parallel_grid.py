@@ -76,14 +76,6 @@ class TestParallelMatchesSerial:
         )
         assert serial == parallel
 
-    def test_handrolled_environment_falls_back_to_serial(self, environment):
-        from dataclasses import replace
-
-        bare = replace(environment, spec=None)
-        with pytest.warns(RuntimeWarning, match="no build spec"):
-            rows = run_comparison(bare, ("grandslam",), seed=3, workers=4)
-        assert rows == run_comparison(environment, ("grandslam",), seed=3)
-
 
 class TestCliWorkers:
     def test_compare_accepts_workers(self):

@@ -82,8 +82,9 @@ class TestRuntimeAPI:
         )
         assert isinstance(sim.runtime, Runtime)
         assert isinstance(sim.gateway, Gateway)
-        # delegation: engine-era attribute access still works
-        assert sim.app.name == "a"
+        # per-app state lives on the gateway, not on the facade
+        assert sim.gateway.app.name == "a"
+        assert not hasattr(sim, "app")
         assert sim.open_invocations == 0
 
 
@@ -95,34 +96,34 @@ class TestSeedDerivation:
         assert derive_app_seed(7, "app0") != derive_app_seed(7, "app1")
         assert derive_app_seed(7, "app0") != derive_app_seed(8, "app0")
 
-    def test_unknown_seeding_mode_rejected(self):
-        with pytest.raises(ValueError, match="seeding"):
-            MultiAppSimulator(make_deps(), seeding="positional")
-
 
 class TestLegacySeedingGolden:
-    """``seeding="legacy"`` reproduces pre-refactor MultiAppSimulator runs.
+    """A shared runtime reproduces pre-refactor two-app co-runs.
 
     The expected values were captured from the monolithic engine (commit
-    395b9fb) with ``seed=7`` and positional per-app seeds, before the
-    Runtime/Gateway split landed.  They must never drift.
+    395b9fb) with ``seed=7`` and positional per-app seeds (``7 + index``),
+    before the Runtime/Gateway split landed.  Seeding the gateways the same
+    way through :meth:`Runtime.add_app` must reproduce them bit for bit.
     """
 
-    def make_deps(self):
-        deps = []
+    def runtime(self):
+        runtime = Runtime()
         for i, models in enumerate((("IR",), ("DB",))):
-            app = named_app(f"app{i}", models)
-            trace = constant_rate_process(10.0, 60.0, offset=5.0 + i)
             policy = (
                 AlwaysOnPolicy(config=HardwareConfig.cpu(4))
                 if i == 0
                 else OnDemandPolicy(config=HardwareConfig.cpu(4))
             )
-            deps.append(Deployment(app, trace, policy))
-        return deps
+            runtime.add_app(
+                named_app(f"app{i}", models),
+                constant_rate_process(10.0, 60.0, offset=5.0 + i),
+                policy,
+                seed=7 + i,
+            )
+        return runtime
 
     def test_bit_identical_to_pre_refactor(self):
-        results = MultiAppSimulator(self.make_deps(), seed=7, seeding="legacy").run()
+        results = self.runtime().run()
         app0, app1 = results["app0"].summary(), results["app1"].summary()
         assert len(results["app0"].invocations) == 6
         assert len(results["app1"].invocations) == 6
@@ -138,27 +139,26 @@ class TestLegacySeedingGolden:
 
 
 class TestNameSeedingOrderIndependence:
-    def run_pair(self, order, seeding):
+    def run_pair(self, order):
         deps = make_deps()
         deps = [deps[i] for i in order]
-        results = MultiAppSimulator(deps, seed=7, seeding=seeding).run()
+        results = MultiAppSimulator(deps, seed=7).run()
         return {name: m.summary() for name, m in results.items()}
 
     def test_permuting_deployments_preserves_per_app_results(self):
-        forward = self.run_pair((0, 1), "name")
-        reversed_ = self.run_pair((1, 0), "name")
+        forward = self.run_pair((0, 1))
+        reversed_ = self.run_pair((1, 0))
         assert forward == reversed_
 
     def test_legacy_mode_is_positional(self):
-        """Under legacy seeding the seed follows the slot, not the app."""
-        deps = make_deps()
-        sim = MultiAppSimulator(deps, seed=7, seeding="legacy")
-        seeds = [gw.seed for gw in sim.runtime.gateways]
-        assert seeds == [7, 8]
-        named = MultiAppSimulator(make_deps(), seed=7, seeding="name")
-        assert [gw.seed for gw in named.runtime.gateways] == [
-            derive_app_seed(7, "app0"),
+        """Positional (legacy) seeds exist only where a caller passes them
+        to ``Runtime.add_app``; the facade always derives them by name."""
+        legacy = TestLegacySeedingGolden().runtime()
+        assert [gw.seed for gw in legacy.gateways] == [7, 8]
+        sim = MultiAppSimulator(make_deps()[::-1], seed=7)
+        assert [gw.seed for gw in sim.runtime.gateways] == [
             derive_app_seed(7, "app1"),
+            derive_app_seed(7, "app0"),
         ]
 
 

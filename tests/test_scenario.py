@@ -191,22 +191,6 @@ class TestRunMultiApp:
         parallel = run_multi_app(envs, policies, workers=2)
         assert serial == parallel
 
-    def test_hand_rolled_envs_warn_and_fall_back(self):
-        envs = self.make_envs()
-        stripped = [
-            type(e)(
-                app=e.app,
-                profiles=e.profiles,
-                oracle=e.oracle,
-                train_counts=e.train_counts,
-                trace=e.trace,
-            )
-            for e in envs
-        ]
-        with pytest.warns(RuntimeWarning, match="no build spec"):
-            fallback = run_multi_app(stripped, "always-on", workers=4)
-        assert fallback == run_multi_app(envs, "always-on", workers=1)
-
     def test_empty_envs_rejected(self):
         with pytest.raises(ValueError):
             run_multi_app([], "always-on")

@@ -292,7 +292,6 @@ class TestDriverReplayParity:
         replayed = MultiAppSimulator(
             deployments,
             seed=cell.sim_seed,
-            seeding=cell.seeding,
             overload=cell.overload,
         ).run()
 

@@ -8,6 +8,7 @@ test).  Request logs always land in ``tmp_path``.
 import asyncio
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.serving import (
     RequestLogWriter,
     SimDriver,
     TimeWarpPacer,
+    cell_from_header,
     read_request_log,
     replay_request_log,
     verify_replay,
@@ -54,6 +56,24 @@ def make_driver(apps, *, policy="grandslam", overload=None, **kwargs):
         overload=overload,
     )
     return SimDriver(cell, horizon=HORIZON, **kwargs)
+
+
+def record_session(log_path, requests=1):
+    """Serve ``requests`` image-query calls, logging the session."""
+
+    async def scenario():
+        driver = make_driver(("image-query",))
+        server = LiveServer(
+            driver, TimeWarpPacer(), log=RequestLogWriter(log_path)
+        )
+        await server.start()
+        for _ in range(requests):
+            await loadgen.http_request(
+                server.host, server.port, "POST", "/invoke/image-query"
+            )
+        await server.stop()
+
+    asyncio.run(scenario())
 
 
 async def request_with_headers(host, port, method, path, body=None):
@@ -295,20 +315,7 @@ class TestClosedLoopRecordReplay:
         from repro.cli import main
 
         log_path = tmp_path / "session.jsonl"
-
-        async def scenario():
-            driver = make_driver(("image-query",))
-            server = LiveServer(
-                driver, TimeWarpPacer(), log=RequestLogWriter(log_path)
-            )
-            await server.start()
-            for _ in range(2):
-                await loadgen.http_request(
-                    server.host, server.port, "POST", "/invoke/image-query"
-                )
-            await server.stop()
-
-        asyncio.run(scenario())
+        record_session(log_path, requests=2)
 
         assert main(["serve", "--replay", str(log_path)]) == 0
         out = capsys.readouterr().out
@@ -381,19 +388,7 @@ class TestClosedLoopRecordReplay:
 
     def test_replay_without_footer_reports_missing(self, tmp_path):
         log_path = tmp_path / "truncated.jsonl"
-
-        async def scenario():
-            driver = make_driver(("image-query",))
-            server = LiveServer(
-                driver, TimeWarpPacer(), log=RequestLogWriter(log_path)
-            )
-            await server.start()
-            await loadgen.http_request(
-                server.host, server.port, "POST", "/invoke/image-query"
-            )
-            await server.stop()
-
-        asyncio.run(scenario())
+        record_session(log_path)
         # Simulate a crashed session: drop the summary footer.
         lines = log_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
@@ -405,3 +400,27 @@ class TestClosedLoopRecordReplay:
         # …but an unverified replay still works from header + requests.
         result = replay_request_log(log_path)
         assert result.metrics["image-query"].n_completed == 1
+
+    def test_header_naming_the_name_seed_rule_still_replays(self, tmp_path):
+        """Logs that carry ``"seeding": "name"`` in their header verify."""
+        log_path = tmp_path / "named.jsonl"
+        record_session(log_path)
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert records[0]["kind"] == "header"
+        assert "seeding" not in records[0]
+        records[0]["seeding"] = "name"
+        log_path.write_text(
+            "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+        )
+        _, diffs = verify_replay(log_path)
+        assert diffs == []
+
+    def test_header_with_unsupported_seed_rule_rejected(self):
+        header = {
+            "envs": [asdict(env_spec("image-query"))],
+            "policy": "grandslam",
+            "sim_seed": 3,
+            "seeding": "legacy",
+        }
+        with pytest.raises(ValueError, match="legacy"):
+            cell_from_header(header)
