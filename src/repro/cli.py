@@ -52,7 +52,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import time
+from pathlib import Path
 
 from repro.experiments import (
     PACK_NAMES,
@@ -440,6 +443,53 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _seconds_since_process_start() -> float | None:
+    """Wall seconds since this process started (``None`` off Linux).
+
+    Read from ``/proc``, so the figure includes interpreter start-up and
+    every import — the time a user of the command actually waits.
+    """
+    try:
+        with open("/proc/self/stat") as fh:
+            # Fields after the parenthesised command name; starttime is
+            # field 22 of the record, in clock ticks since boot.
+            started = int(fh.read().rpartition(")")[2].split()[19])
+        uptime = time.clock_gettime(time.CLOCK_BOOTTIME)
+    except (OSError, AttributeError, ValueError, IndexError):
+        return None
+    return uptime - started / os.sysconf("SC_CLK_TCK")
+
+
+def _bench_provenance() -> dict:
+    """Where a bench record was measured: code, apps, host, toolchain."""
+    import platform
+    import socket
+    import subprocess
+
+    import numpy as np
+
+    root = Path(__file__).resolve().parents[2]
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        proc = None
+    sha = proc.stdout.strip() if proc and proc.returncode == 0 else ""
+    return {
+        "git_sha": sha or None,
+        "apps": list(PAPER_APPS),
+        "hostname": socket.gethostname(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def cmd_bench(args) -> int:
     import dataclasses
     import resource
@@ -521,6 +571,7 @@ def cmd_bench(args) -> int:
         "duration": duration,
         "seed": args.seed,
         "wall_clock_seconds": res.wall_clock,
+        "end_to_end_seconds": None,  # set when the record is written
         "events_processed": res.events_processed,
         "events_per_second": res.events_per_second,
         "peak_rss_mb": peak_rss_mb,
@@ -567,6 +618,8 @@ def cmd_bench(args) -> int:
             # reference would — a second multi-hour pass would compare a
             # function with itself.
             record["parity"] = "skipped: single effective worker"
+    record["provenance"] = _bench_provenance()
+    record["end_to_end_seconds"] = _seconds_since_process_start()
     with open(out, "w") as fh:
         json.dump(_json_safe(record), fh, indent=2)
         fh.write("\n")

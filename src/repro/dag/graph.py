@@ -85,6 +85,11 @@ class AppDAG:
             raise ValueError(f"application {name!r} contains a cycle")
         self._graph = graph
         self._topo = tuple(nx.topological_sort(graph))
+        # Adjacency in networkx order, precomputed: the gateway walks it on
+        # every stage completion, and successor order decides the order in
+        # which downstream stages become ready.
+        self._preds = {n: tuple(graph.predecessors(n)) for n in graph}
+        self._succs = {n: tuple(graph.successors(n)) for n in graph}
 
     # -- basic structure ---------------------------------------------------
     def __len__(self) -> int:
@@ -108,8 +113,11 @@ class AppDAG:
 
     def spec(self, name: str) -> FunctionSpec:
         """Look up the :class:`FunctionSpec` for ``name``."""
+        return self._lookup(self._functions, name)
+
+    def _lookup(self, table: Mapping[str, object], name: str):
         try:
-            return self._functions[name]
+            return table[name]
         except KeyError:
             raise KeyError(f"no function {name!r} in app {self.name!r}") from None
 
@@ -120,11 +128,11 @@ class AppDAG:
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         """Direct upstream functions of ``name``."""
-        return tuple(self._graph.predecessors(name))
+        return self._lookup(self._preds, name)
 
     def successors(self, name: str) -> tuple[str, ...]:
         """Direct downstream functions of ``name``."""
-        return tuple(self._graph.successors(name))
+        return self._lookup(self._succs, name)
 
     def sources(self) -> tuple[str, ...]:
         """Entry functions (no predecessors), in topological order."""

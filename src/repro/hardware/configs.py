@@ -51,6 +51,11 @@ class HardwareConfig:
     Exactly one of ``cpu_cores`` / ``gpu_fraction`` is meaningful, selected
     by ``backend``.  Instances are immutable, hashable and ordered by unit
     cost so collections of configurations sort cheapest-first by default.
+
+    The hash is computed once, from values whose hash does not depend on
+    ``PYTHONHASHSEED`` (no enum or ``str``): configurations key the
+    engine's per-event pool lookups, and they are pickled into grid and
+    shard workers together with their cached hash.
     """
 
     backend: Backend
@@ -75,6 +80,11 @@ class HardwareConfig:
                 )
             if self.cpu_cores:
                 raise ValueError("GPU config must not set cpu_cores")
+        key = (self.backend is Backend.GPU, self.cpu_cores, self.gpu_fraction)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- pricing -----------------------------------------------------------
     @property

@@ -25,12 +25,24 @@ _instance_ids = itertools.count()
 
 
 class InstanceState(enum.Enum):
-    """Lifecycle states of a container instance."""
+    """Lifecycle states of a container instance.
 
-    INITIALIZING = "initializing"
-    IDLE = "idle"
-    BUSY = "busy"
-    TERMINATED = "terminated"
+    ``slot`` indexes the three live states in
+    :class:`~repro.simulator.pools.InstancePool`'s counter lists, so the
+    pool never hashes a state; ``TERMINATED`` holds no resources and has
+    no slot.
+    """
+
+    INITIALIZING = "initializing", 0
+    IDLE = "idle", 1
+    BUSY = "busy", 2
+    TERMINATED = "terminated", None
+
+    def __new__(cls, value: str, slot: int | None) -> "InstanceState":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.slot = slot
+        return member
 
 
 @dataclass

@@ -678,16 +678,16 @@ class Gateway:
             inst.expiry_timer.cancel()
             inst.expiry_timer = None
         self.pending_stage_demand[inst.function] -= batch_n
+        cold = 0
         for inv in items:
             rec = inv.stage(inst.function)
             rec.started_at = now
             rec.instance_id = inst.instance_id
             rec.batch = batch_n
             rec.cold_start = inst.warm_at > (rec.ready_at or 0.0)
+            cold += rec.cold_start
         self.metrics.stage_executions += batch_n
-        self.metrics.cold_stage_executions += sum(
-            1 for inv in items if inv.stage(inst.function).cold_start
-        )
+        self.metrics.cold_stage_executions += cold
         if self._rec is not None:
             # Prefill/decode attribution of the sampled wall-clock time:
             # split pro rata by the service model's phase expectations, so
@@ -775,6 +775,8 @@ class Gateway:
         inst.mark_idle(now, exec_time)
         fn = inst.function
         self.pools[fn].transition(inst, InstanceState.BUSY)
+        app = self.app
+        downstream = [(s, app.predecessors(s)) for s in app.successors(fn)]
         for inv in items:
             if inv.abandoned_at is not None:
                 # Abandoned mid-flight (deadline fired while executing):
@@ -793,11 +795,13 @@ class Gateway:
                     )
                 )
             self.policy.on_stage_complete(inv, fn, self.ctx)
-            for succ in self.app.successors(fn):
-                preds = self.app.predecessors(succ)
-                if all(
-                    inv.stage(p).finished_at is not None for p in preds
-                ):
+            stages = inv.stages
+            for succ, preds in downstream:
+                for p in preds:
+                    rec = stages.get(p)
+                    if rec is None or rec.finished_at is None:
+                        break
+                else:
                     self._stage_ready(inv, succ)
             if inv.remaining == 0:  # type: ignore[attr-defined]
                 inv.completed_at = now

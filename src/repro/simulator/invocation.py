@@ -63,9 +63,10 @@ class Invocation:
 
     def stage(self, function: str) -> StageRecord:
         """Record for ``function``, created on first access."""
-        if function not in self.stages:
-            self.stages[function] = StageRecord(function=function)
-        return self.stages[function]
+        rec = self.stages.get(function)
+        if rec is None:
+            rec = self.stages[function] = StageRecord(function=function)
+        return rec
 
     @property
     def finished(self) -> bool:

@@ -3,9 +3,14 @@
 The engine used to keep one flat ``list[Instance]`` per function and answer
 every lifecycle query — idle pick, initializing count, live/idle counts,
 min-warm enforcement — by scanning it.  :class:`InstancePool` replaces the
-scans with per-state membership sets and per-configuration / per-backend
-counters that are updated on every state transition, so the dispatch hot
-path is O(1) (or O(matching instances)) instead of O(all instances).
+scans with an idle membership map and plain integer counters that are
+updated on every state transition, so the dispatch hot path is O(1) (or
+O(matching instances)) instead of O(all instances).
+
+The counters are lists indexed by :attr:`InstanceState.slot` (0, 1, 2 for
+INITIALIZING, IDLE, BUSY): one total list and one ``[init, idle, busy]``
+list per configuration.  A transition costs one configuration lookup and
+no enum hashing.
 
 Determinism contract: every accessor that yields instances does so in
 ascending ``instance_id`` order, which — because instance ids increase
@@ -16,18 +21,15 @@ of the original list-scan implementation bit-for-bit.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.hardware.configs import Backend, HardwareConfig
 from repro.simulator.container import Instance, InstanceState
 
-#: The three states in which an instance holds cluster resources.
-LIVE_STATES = (
-    InstanceState.INITIALIZING,
-    InstanceState.IDLE,
-    InstanceState.BUSY,
-)
+_INIT = InstanceState.INITIALIZING.slot
+_IDLE = InstanceState.IDLE.slot
+_BUSY = InstanceState.BUSY.slot
+_NO_COUNTS = (0, 0, 0)
 
 
 class InstancePool:
@@ -51,11 +53,11 @@ class InstancePool:
         # deleted lazily (validity == membership in ``_idle``).
         self._idle_heap: list[int] = []
         self._idle_cfg_heaps: dict[HardwareConfig, list[int]] = {}
-        self._state_counts: Counter[InstanceState] = Counter()
-        self._cfg_counts: dict[InstanceState, Counter[HardwareConfig]] = {
-            s: Counter() for s in LIVE_STATES
-        }
-        self._backend_live: Counter[Backend] = Counter()
+        # Live instances per state slot, in total and per configuration.
+        self._state_counts = [0, 0, 0]
+        self._cfg_counts: dict[HardwareConfig, list[int]] = {}
+        # Live instances per backend: ``[cpu, gpu]``.
+        self._backend_live = [0, 0]
 
     # ------------------------------------------------------------ mutation
     def add(self, inst: Instance) -> None:
@@ -65,18 +67,24 @@ class InstancePool:
                 f"instance {inst.instance_id} added in state {inst.state.value}"
             )
         self._live[inst.instance_id] = inst
-        self._count(inst.state, inst, +1)
+        self._cfg_counts.setdefault(inst.config, [0, 0, 0])[_INIT] += 1
+        self._state_counts[_INIT] += 1
+        self._backend_live[inst.config.backend is Backend.GPU] += 1
 
     def transition(self, inst: Instance, old_state: InstanceState) -> None:
         """Re-index ``inst`` after its state changed from ``old_state``."""
         new_state = inst.state
         if new_state is old_state:
             return
-        self._count(old_state, inst, -1)
-        self._count(new_state, inst, +1)
-        if old_state is InstanceState.IDLE:
-            self._idle.pop(inst.instance_id, None)
-        if new_state is InstanceState.IDLE:
+        old, new = old_state.slot, new_state.slot
+        counts = self._cfg_counts[inst.config]
+        counts[old] -= 1
+        counts[new] += 1
+        self._state_counts[old] -= 1
+        self._state_counts[new] += 1
+        if old == _IDLE:
+            del self._idle[inst.instance_id]
+        elif new == _IDLE:
             self._idle[inst.instance_id] = inst
             heapq.heappush(self._idle_heap, inst.instance_id)
             heapq.heappush(
@@ -86,15 +94,13 @@ class InstancePool:
 
     def remove(self, inst: Instance, old_state: InstanceState) -> None:
         """Deregister a terminated instance (``old_state`` = state before)."""
-        self._count(old_state, inst, -1)
+        old = old_state.slot
+        self._cfg_counts[inst.config][old] -= 1
+        self._state_counts[old] -= 1
+        self._backend_live[inst.config.backend is Backend.GPU] -= 1
         del self._live[inst.instance_id]
-        if old_state is InstanceState.IDLE:
-            self._idle.pop(inst.instance_id, None)
-
-    def _count(self, state: InstanceState, inst: Instance, delta: int) -> None:
-        self._state_counts[state] += delta
-        self._cfg_counts[state][inst.config] += delta
-        self._backend_live[inst.config.backend] += delta
+        if old == _IDLE:
+            del self._idle[inst.instance_id]
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -108,7 +114,7 @@ class InstancePool:
         """Instances holding resources, optionally of one configuration."""
         if config is None:
             return len(self._live)
-        return sum(self._cfg_counts[s][config] for s in LIVE_STATES)
+        return sum(self._counts(config))
 
     def idle_count(self) -> int:
         """Warm instances currently idle."""
@@ -116,38 +122,27 @@ class InstancePool:
 
     def initializing_count(self) -> int:
         """Instances still warming up."""
-        return self._state_counts[InstanceState.INITIALIZING]
+        return self._state_counts[_INIT]
 
     def warm_count(self, config: HardwareConfig | None = None) -> int:
         """Instances past initialization (IDLE or BUSY)."""
-        if config is None:
-            return (
-                self._state_counts[InstanceState.IDLE]
-                + self._state_counts[InstanceState.BUSY]
-            )
-        return (
-            self._cfg_counts[InstanceState.IDLE][config]
-            + self._cfg_counts[InstanceState.BUSY][config]
-        )
+        counts = self._counts(config)
+        return counts[_IDLE] + counts[_BUSY]
 
     def uncommitted_count(self, config: HardwareConfig | None = None) -> int:
         """Instances a warm-up request may count on (INITIALIZING or IDLE)."""
+        counts = self._counts(config)
+        return counts[_INIT] + counts[_IDLE]
+
+    def _counts(self, config: HardwareConfig | None) -> Sequence[int]:
+        """Per-slot counts in total (``None``) or of one configuration."""
         if config is None:
-            return (
-                self._state_counts[InstanceState.INITIALIZING]
-                + self._state_counts[InstanceState.IDLE]
-            )
-        return (
-            self._cfg_counts[InstanceState.INITIALIZING][config]
-            + self._cfg_counts[InstanceState.IDLE][config]
-        )
+            return self._state_counts
+        return self._cfg_counts.get(config, _NO_COUNTS)
 
     def backend_live_counts(self) -> tuple[int, int]:
         """``(cpu, gpu)`` live instance counts for the pod-sample metric."""
-        return (
-            self._backend_live[Backend.CPU],
-            self._backend_live[Backend.GPU],
-        )
+        return self._backend_live[0], self._backend_live[1]
 
     def pick_idle(self, preferred: HardwareConfig) -> Instance | None:
         """Lowest-id idle instance, preferring ``preferred``'s configuration.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.dag import AppDAG, FunctionSpec
 from repro.dag.apps import random_dag
 from repro.dag.models import get_profile
+from repro.experiments.runners import APP_BUILDERS
 
 
 def spec(name: str, model: str = "IR") -> FunctionSpec:
@@ -72,6 +73,22 @@ class TestStructure:
         app = diamond()
         assert app.sources() == ("A",)
         assert app.sinks() == ("D",)
+
+    @pytest.mark.parametrize("name", sorted(APP_BUILDERS))
+    def test_adjacency_in_networkx_order(self, name):
+        """Precomputed adjacency keeps networkx's order: successor order
+        decides the order in which downstream stages become ready."""
+        app = APP_BUILDERS[name]()
+        graph = app.graph
+        for fn in app.function_names:
+            assert app.predecessors(fn) == tuple(graph.predecessors(fn))
+            assert app.successors(fn) == tuple(graph.successors(fn))
+
+    def test_adjacency_of_unknown_function_names_the_app(self):
+        app = diamond()
+        for lookup in (app.spec, app.predecessors, app.successors):
+            with pytest.raises(KeyError, match="no function 'Z' in app 'diamond'"):
+                lookup("Z")
 
     def test_spec_lookup(self):
         app = diamond()

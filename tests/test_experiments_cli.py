@@ -101,6 +101,13 @@ class TestCli:
         assert "3 apps" in capsys.readouterr().out
         record = json.loads(out.read_text())
         assert set(record["apps"]) == set(PAPER_APPS)
+        prov = record["provenance"]
+        assert prov["apps"] == list(PAPER_APPS)
+        assert prov["git_sha"] is None or len(prov["git_sha"]) == 40
+        assert prov["hostname"] and prov["cpu_count"] >= 1
+        assert prov["python"].count(".") == 2 and prov["numpy"]
+        # Process start to record write: imports, env build and the run.
+        assert record["end_to_end_seconds"] > record["wall_clock_seconds"]
 
     def test_multiapp_co_runs_paper_apps(self, monkeypatch, capsys):
         import repro.cli as cli

@@ -1,5 +1,12 @@
 """Tests for the hardware configuration space and pricing model."""
 
+import base64
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.hardware import (
@@ -83,6 +90,32 @@ class TestHardwareConfig:
     def test_hashable_and_equal(self):
         assert HardwareConfig.cpu(4) == HardwareConfig.cpu(4)
         assert len({HardwareConfig.cpu(4), HardwareConfig.cpu(4)}) == 1
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_pickled_config_keys_survive_another_hash_seed(self, hash_seed):
+        """Configs cache their hash and travel pickled into grid and shard
+        workers, so the hash must not depend on ``PYTHONHASHSEED``: in a
+        process with another seed, fresh configs must find the unpickled
+        dict's entries and hash to the same values."""
+        table = {HardwareConfig.cpu(4): "cpu", HardwareConfig.gpu(0.3): "gpu"}
+        blob = base64.b64encode(pickle.dumps(table)).decode()
+        code = f"""\
+import base64, pickle
+from repro.hardware import HardwareConfig
+table = pickle.loads(base64.b64decode({blob!r}))
+cpu, gpu = HardwareConfig.cpu(4), HardwareConfig.gpu(0.3)
+assert table[cpu] == "cpu" and table[gpu] == "gpu", table
+print(hash(cpu), hash(gpu), *(hash(k) for k in table))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        here = [hash(HardwareConfig.cpu(4)), hash(HardwareConfig.gpu(0.3))]
+        assert [int(h) for h in proc.stdout.split()] == here * 2
 
 
 class TestConfigurationSpace:

@@ -130,3 +130,98 @@ class TestPickOrder:
     def test_iteration_in_launch_order(self):
         pool, fleet = self.make_idle_fleet([CPU2, CPU4])
         assert list(pool) == fleet
+
+
+class TestRecountProperty:
+    """Seeded random lifecycles: every query equals a brute-force recount.
+
+    Random add / warm / busy / idle / terminate sequences over CPU and GPU
+    configurations, terminating from every live state.  After each
+    operation, each pool query is checked against a recount over
+    ``iter(pool)``, so the incremental counters can never drift from the
+    instances they index.
+    """
+
+    CONFIGS = (CPU2, CPU4, GPU, HardwareConfig.gpu(0.3))
+
+    @staticmethod
+    def assert_consistent(pool, configs):
+        live = list(pool)
+        assert [i.instance_id for i in live] == sorted(
+            i.instance_id for i in live
+        )
+        assert all(i.is_live for i in live)
+        idle = [i for i in live if i.state is InstanceState.IDLE]
+        init = [i for i in live if i.state is InstanceState.INITIALIZING]
+        busy = [i for i in live if i.state is InstanceState.BUSY]
+
+        assert len(pool) == pool.live_count() == len(live)
+        assert pool.idle_count() == len(idle)
+        assert pool.initializing_count() == len(init)
+        assert pool.warm_count() == len(idle) + len(busy)
+        assert pool.uncommitted_count() == len(init) + len(idle)
+        assert pool.idle_sorted() == idle
+        gpu = sum(1 for i in live if i.config.backend.value == "gpu")
+        assert pool.backend_live_counts() == (len(live) - gpu, gpu)
+        for cfg in configs:
+            mine = [i for i in live if i.config == cfg]
+            mine_idle = [i for i in idle if i.config == cfg]
+            assert pool.live_count(cfg) == len(mine)
+            assert pool.warm_count(cfg) == sum(
+                1 for i in mine if i.state is not InstanceState.INITIALIZING
+            )
+            assert pool.uncommitted_count(cfg) == sum(
+                1 for i in mine if i.state is not InstanceState.BUSY
+            )
+            assert pool.idle_sorted(config=cfg) == mine_idle
+            expected = mine_idle[0] if mine_idle else (idle[0] if idle else None)
+            assert pool.pick_idle(cfg) is expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_queries_match_recount(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        cluster = Cluster.build(n_machines=64)
+        pool = InstancePool()
+        live = []
+        terminated_from = set()
+        for step in range(400):
+            op = rng.random()
+            if op < 0.3 or not live:
+                cfg = rng.choice(self.CONFIGS)
+                placement = cluster.try_allocate(cfg)
+                if placement is None:
+                    continue
+                inst = Instance(
+                    function="f",
+                    config=cfg,
+                    placement=placement,
+                    launched_at=float(step),
+                    init_duration=1.0,
+                )
+                pool.add(inst)
+                live.append(inst)
+            else:
+                inst = rng.choice(live)
+                prev = inst.state
+                if op < 0.8:
+                    if prev is InstanceState.INITIALIZING:
+                        inst.mark_warm(float(step))
+                    elif prev is InstanceState.IDLE:
+                        inst.mark_busy(float(step), batch=1)
+                    else:
+                        inst.mark_idle(float(step), busy_time=0.5)
+                    pool.transition(inst, prev)
+                else:
+                    inst.mark_terminated(float(step))
+                    pool.remove(inst, prev)
+                    cluster.release(inst.placement)
+                    live.remove(inst)
+                    terminated_from.add(prev)
+            self.assert_consistent(pool, self.CONFIGS)
+        assert terminated_from == {
+            InstanceState.INITIALIZING,
+            InstanceState.IDLE,
+            InstanceState.BUSY,
+        }
