@@ -2,9 +2,10 @@
 
 Drives ``python -m repro.cli bench --macro`` — the three Fig. 7 apps
 co-run on one cluster under the ``flood`` preset with ``retention="sketch"``
-— in fresh subprocesses so each run's peak RSS (``ru_maxrss``) is its own,
-and writes the headline record to ``BENCH_macro.json`` at the repository
-root.
+— in fresh subprocesses so each run's peak RSS (``ru_maxrss``) is its own.
+Full mode writes the headline record to ``BENCH_macro.json`` at the
+repository root; smoke mode writes every record under pytest's
+``tmp_path`` and leaves the committed ones alone.
 
 Two modes:
 
@@ -98,7 +99,7 @@ def _check_record(record: dict, invocations: int, policy: str = "grandslam") -> 
 
 def test_macro_bench(tmp_path):
     if SMOKE:
-        record = _run_bench(100_000, BENCH_JSON)
+        record = _run_bench(100_000, tmp_path / BENCH_JSON.name)
         _check_record(record, 100_000)
         print(
             f"\n[perf macrobench] mode=smoke "
@@ -237,7 +238,7 @@ def test_sharded_differential_100k():
 
     import math
 
-    from repro.experiments.parallel import EnvSpec
+    from repro.experiments.parallel import EnvSpec, MultiAppCellSpec
     from repro.experiments.runners import APP_BUILDERS
     from repro.sharding import ShardPlan, run_sharded
     from repro.workload.azure import PRESETS
@@ -245,14 +246,17 @@ def test_sharded_differential_100k():
     apps = tuple(sorted(APP_BUILDERS))
     rate = len(apps) / PRESETS["flood"].mean_gap
     duration = float(np.ceil(100_000 / rate))
-    envs = tuple(
-        EnvSpec(app=app, preset="flood", sla=2.0, duration=duration)
-        for app in apps
+    cell = MultiAppCellSpec(
+        envs=tuple(
+            EnvSpec(app=app, preset="flood", sla=2.0, duration=duration)
+            for app in apps
+        ),
+        policy="grandslam",
     )
     plan4 = ShardPlan.for_apps(apps, n_shards=4, slices_per_app=4)
     plan1 = ShardPlan.for_apps(apps, n_shards=1, slices_per_app=4)
-    reference = run_sharded(plan1, envs, "grandslam", processes=1)
-    sharded = run_sharded(plan4, envs, "grandslam")
+    reference = run_sharded(plan1, cell, processes=1)
+    sharded = run_sharded(plan4, cell)
     assert sharded == reference  # bitwise: every unit's accumulator states
     merged, ref = sharded.per_app_metrics(), reference.per_app_metrics()
     total = 0

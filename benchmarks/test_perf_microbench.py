@@ -2,8 +2,10 @@
 
 Runs the fig08-style comparison grid (every policy on every Fig. 7 app)
 through :func:`repro.experiments.parallel.run_grid`, serially and with a
-4-worker process pool, and writes the measurements to ``BENCH_simcore.json``
-at the repository root so the speedup is tracked across PRs.
+4-worker process pool.  Full mode writes the measurements to
+``BENCH_simcore.json`` at the repository root so the speedup is tracked
+across PRs; smoke mode writes its record under pytest's ``tmp_path`` and
+leaves the committed one alone.
 
 Two modes:
 
@@ -94,7 +96,7 @@ def _timed_grid(cells, *, workers: int):
     return time.perf_counter() - start, results
 
 
-def test_perf_microbench():
+def test_perf_microbench(tmp_path):
     cells = product_grid(APPS, POLICIES, duration=DURATION)
 
     serial_walls = []
@@ -153,7 +155,7 @@ def test_perf_microbench():
         "speedup_vs_seed": None if SMOKE else round(speedup, 2),
         "cells": [
             {
-                "app": r.spec.env.app,
+                "app": r.spec.envs[0].app,
                 "policy": r.spec.policy,
                 "wall_clock": round(r.wall_clock, 4),
                 "events_processed": r.events_processed,
@@ -162,7 +164,8 @@ def test_perf_microbench():
             for r in serial_results
         ],
     }
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    out = tmp_path / BENCH_JSON.name if SMOKE else BENCH_JSON
+    out.write_text(json.dumps(report, indent=2) + "\n")
     parallel_note = (
         "skipped" if parallel_seconds is None else f"{parallel_seconds:.2f}s"
     )
@@ -175,7 +178,7 @@ def test_perf_microbench():
     # Policy-path throughput floor: smiless within 1/5 of orion per app.
     if SMOKE:
         events_per_second = {
-            (r.spec.env.app, r.spec.policy): r.events_per_second
+            (r.spec.envs[0].app, r.spec.policy): r.events_per_second
             for r in serial_results
         }
         for app in APPS:

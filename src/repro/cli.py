@@ -197,6 +197,23 @@ def _print_scenario_rows(rows) -> None:
         )
 
 
+def _json_cells(results) -> list[dict]:
+    """One JSON object per (cell, app): coordinates, summary, extras."""
+    return [
+        {
+            "app": env.app,
+            "preset": env.preset,
+            "sla": env.sla,
+            "policy": res.spec.policy,
+            "sim_seed": res.spec.sim_seed,
+            "summary": _json_safe(res.summary[env.app]),
+            "extras": res.extras.get(env.app, {}),
+        }
+        for res in results
+        for env in res.spec.envs
+    ]
+
+
 def _cmd_scenario_pack(args) -> int:
     from repro.experiments import run_pack
 
@@ -211,16 +228,7 @@ def _cmd_scenario_pack(args) -> int:
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
                 for c in report.checks
             ],
-            "cells": [
-                {
-                    "app": res.spec.env.app,
-                    "policy": res.spec.policy,
-                    "sim_seed": res.spec.sim_seed,
-                    "summary": _json_safe(res.summary),
-                    "extras": res.extras,
-                }
-                for res in report.results
-            ],
+            "cells": _json_cells(report.results),
         }
         print(json.dumps(doc, indent=2))
         return 0 if report.ok else 1
@@ -263,22 +271,7 @@ def cmd_scenario(args) -> int:
     if args.json:
         from repro.experiments.parallel import run_grid
 
-        cells = []
-        for res in run_grid(spec.cells(), workers=args.workers):
-            cell = {
-                "policy": res.spec.policy,
-                "sim_seed": res.spec.sim_seed,
-                "summary": _json_safe(res.summary),
-            }
-            if hasattr(res.spec, "envs"):
-                cell["apps"] = [e.app for e in res.spec.envs]
-                cell["preset"] = res.spec.envs[0].preset
-                cell["sla"] = res.spec.envs[0].sla
-            else:
-                cell["app"] = res.spec.env.app
-                cell["preset"] = res.spec.env.preset
-                cell["sla"] = res.spec.env.sla
-            cells.append(cell)
+        cells = _json_cells(run_grid(spec.cells(), workers=args.workers))
         print(json.dumps(cells, indent=2))
         return 0
     n_cells = len(spec.cells())
@@ -499,26 +492,10 @@ def cmd_bench(args) -> int:
 
     # Mode selection (--macro) is enforced by the argparse group; by the
     # time we are here a mode is guaranteed.
-    sharded = args.shards > 1 or (
-        args.slices_per_app is not None and args.slices_per_app > 1
-    )
     slices_per_app = (
         args.slices_per_app
         if args.slices_per_app is not None
-        else (4 if sharded else 1)
-    )
-    if sharded and args.retention != "sketch":
-        print(
-            "error: bench --shards/--slices-per-app requires "
-            "--retention sketch (shard snapshots extract streaming state)",
-            file=sys.stderr,
-        )
-        return 2
-    workers, clamp_note = clamp_shard_workers(args.shards)
-    if clamp_note is not None:
-        print(f"note: {clamp_note}")
-    out = args.out or (
-        "BENCH_macro_sharded.json" if sharded else "BENCH_macro.json"
+        else (4 if args.shards > 1 else 1)
     )
     rate_per_app = 1.0 / PRESETS[args.preset].mean_gap
     aggregate_rate = rate_per_app * len(PAPER_APPS)
@@ -526,6 +503,35 @@ def cmd_bench(args) -> int:
         float(args.duration)
         if args.duration is not None
         else math.ceil(args.invocations / aggregate_rate)
+    )
+    try:
+        spec = MultiAppCellSpec(
+            envs=tuple(
+                EnvSpec(
+                    app=name,
+                    preset=args.preset,
+                    sla=args.sla,
+                    duration=duration,
+                    seed=args.seed,
+                )
+                for name in PAPER_APPS
+            ),
+            policy=args.policy,
+            sim_seed=args.seed + 3,
+            retention=args.retention,
+            shards=args.shards,
+            slices_per_app=slices_per_app,
+        )
+    except ValueError as exc:
+        print(f"error: bench: {exc}", file=sys.stderr)
+        return 2
+    sharded = spec.slices_per_app > 1
+    workers, clamp_note = clamp_shard_workers(args.shards)
+    if clamp_note is not None:
+        print(f"note: {clamp_note}")
+    spec = dataclasses.replace(spec, shards=workers)
+    out = args.out or (
+        "BENCH_macro_sharded.json" if sharded else "BENCH_macro.json"
     )
     shard_banner = (
         f", shards={args.shards} (workers={workers}), "
@@ -537,23 +543,6 @@ def cmd_bench(args) -> int:
         f"macro bench: {len(PAPER_APPS)} apps x preset {args.preset!r} "
         f"(~{aggregate_rate:.0f} arrivals/s aggregate) for {duration:.0f}s "
         f"under {args.policy!r}, retention={args.retention!r}{shard_banner}"
-    )
-    spec = MultiAppCellSpec(
-        envs=tuple(
-            EnvSpec(
-                app=name,
-                preset=args.preset,
-                sla=args.sla,
-                duration=duration,
-                seed=args.seed,
-            )
-            for name in PAPER_APPS
-        ),
-        policy=args.policy,
-        sim_seed=args.seed + 3,
-        retention=args.retention,
-        shards=workers if sharded else 1,
-        slices_per_app=slices_per_app,
     )
     res = run_cell(spec)
     # ru_maxrss is KiB on Linux: the process-lifetime peak, which is the
@@ -864,7 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json",
         action="store_true",
-        help="emit one JSON object per cell (full RunMetrics summaries)",
+        help="emit one JSON object per (cell, app) with its full "
+        "RunMetrics summary",
     )
     p.add_argument(
         "--trace-dir",
@@ -881,15 +871,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="override the spec's shard count (worker processes per cell; "
-        "requires sketch retention)",
+        help="override the spec's shard count (worker processes per "
+        "sharded cell; needs --slices-per-app > 1 and sketch retention)",
     )
     p.add_argument(
         "--slices-per-app",
         type=int,
         default=None,
-        help="override the spec's trace slices per app (part of the "
-        "experiment definition)",
+        help="override the spec's trace slices per app (> 1 runs every "
+        "cell on the shard plane; part of the experiment definition)",
     )
     p.set_defaults(func=cmd_scenario)
 
@@ -976,9 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--slices-per-app",
         type=int,
         default=None,
-        help="trace slices per app when sharding (part of the experiment "
-        "definition; constant across shard counts). Default: 4 for "
-        "sharded runs, 1 otherwise",
+        help="trace slices per app; > 1 runs on the shard plane (part of "
+        "the experiment definition; constant across shard counts). "
+        "Default: 4 with --shards > 1, 1 otherwise",
     )
     retention_arg(p, default="sketch")
     p.add_argument(

@@ -18,7 +18,6 @@ from repro.experiments.packs import (
 )
 from repro.experiments.parallel import (
     CellResult,
-    CellSpec,
     EnvSpec,
     MultiAppCellSpec,
     product_grid,
@@ -43,7 +42,6 @@ __all__ = [
     "ScenarioRow",
     "ScenarioSpec",
     "EnvSpec",
-    "CellSpec",
     "MultiAppCellSpec",
     "CellResult",
     "build_environment",

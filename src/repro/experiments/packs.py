@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.experiments.parallel import CellResult, run_grid
-from repro.experiments.runners import ComparisonRow, ScenarioRow
+from repro.experiments.runners import ScenarioRow, scenario_rows
 from repro.experiments.scenario import ScenarioSpec
 from repro.faults import FaultPlan, FlashCrowd
 from repro.overload import OverloadSpec
@@ -170,29 +170,21 @@ class PackReport:
         return all(c.passed for c in self.checks)
 
     def rows(self) -> list[ScenarioRow]:
-        """Scenario-shaped rows (pack cells are always solo ``CellSpec``s)."""
-        return [
-            ScenarioRow(
-                app=res.spec.env.app,
-                preset=res.spec.env.preset,
-                sla=res.spec.env.sla,
-                env_seed=res.spec.env.seed,
-                sim_seed=res.spec.sim_seed,
-                policy=res.spec.policy,
-                row=ComparisonRow.from_summary(res.spec.policy, res.summary),
-            )
-            for res in self.results
-        ]
+        """Scenario-shaped rows, one per (cell, app)."""
+        return [row for res in self.results for row in scenario_rows(res)]
 
 
-def _cell_label(res: CellResult) -> str:
-    return f"{res.spec.env.app}/{res.spec.policy}"
+def _per_app(results: list[CellResult]):
+    """``(policy, app, summary, extras)`` for every app of every cell."""
+    for res in results:
+        for app, extras in res.extras.items():
+            yield res.spec.policy, app, res.summary[app], extras
 
 
 def _conservation_check(results: list[CellResult]) -> PackCheck:
     bad = []
-    for res in results:
-        x = res.extras
+    cells = list(_per_app(results))
+    for policy, app, _, x in cells:
         # Extended identity: every offered invocation (trace + fault-plan
         # injections) is completed, open at the horizon, timed out, shed
         # from a bounded queue, or rejected at admission — exactly once.
@@ -206,11 +198,10 @@ def _conservation_check(results: list[CellResult]) -> PackCheck:
         offered = x["arrivals"] + x["injected_arrivals"]
         if offered != accounted:
             bad.append(
-                f"{_cell_label(res)}: {offered} offered vs "
-                f"{accounted} accounted"
+                f"{app}/{policy}: {offered} offered vs {accounted} accounted"
             )
     detail = (
-        f"all {len(results)} cells conserve invocations"
+        f"all {len(cells)} cells conserve invocations"
         if not bad
         else "; ".join(bad)
     )
@@ -219,7 +210,9 @@ def _conservation_check(results: list[CellResult]) -> PackCheck:
 
 def _progress_check(results: list[CellResult]) -> PackCheck:
     stalled = [
-        _cell_label(res) for res in results if res.extras["completed"] == 0
+        f"{app}/{policy}"
+        for policy, app, _, x in _per_app(results)
+        if x["completed"] == 0
     ]
     detail = (
         "every cell completed invocations"
@@ -238,9 +231,9 @@ def _swap_checks(results: list[CellResult]) -> list[PackCheck]:
     reduction check is per policy and only binds where the policy actually
     swapped (CPU-only placements never touch the residency cache).
     """
-    by_policy: dict[str, dict[str, CellResult]] = {}
-    for res in results:
-        by_policy.setdefault(res.spec.policy, {})[res.spec.env.app] = res
+    by_policy: dict[str, dict[str, dict]] = {}
+    for policy, app, _, x in _per_app(results):
+        by_policy.setdefault(policy, {})[app] = x
     total_swaps = 0
     regressions = []
     compared = 0
@@ -249,16 +242,16 @@ def _swap_checks(results: list[CellResult]) -> list[PackCheck]:
         base = cells.get("image-query")
         if swap is None or base is None:
             continue
-        swap_ins = swap.extras["swap_ins"]
+        swap_ins = swap["swap_ins"]
         total_swaps += swap_ins
         if swap_ins == 0:
             continue
         compared += 1
-        cold = swap.extras["initializations"] - swap_ins
-        if cold >= base.extras["initializations"]:
+        cold = swap["initializations"] - swap_ins
+        if cold >= base["initializations"]:
             regressions.append(
                 f"{policy}: {cold} cold starts with swapping vs "
-                f"{base.extras['initializations']} without"
+                f"{base['initializations']} without"
             )
     checks = [
         PackCheck(
@@ -297,27 +290,25 @@ def _overload_checks(
     """
     limit = spec.overload.queue_limit
     over = [
-        f"{_cell_label(res)}: peak depth "
-        f"{res.extras['peak_queue_depth']} > limit {limit}"
-        for res in protected
-        if res.extras["peak_queue_depth"] > limit
+        f"{app}/{policy}: peak depth {x['peak_queue_depth']} > limit {limit}"
+        for policy, app, _, x in _per_app(protected)
+        if x["peak_queue_depth"] > limit
     ]
     total_shed = sum(
-        res.extras["shed"] + res.extras["rejected"] for res in protected
+        x["shed"] + x["rejected"] for *_, x in _per_app(protected)
     )
-    by_policy: dict[str, dict[str, CellResult]] = {}
-    for res in protected:
-        by_policy.setdefault(res.spec.policy, {})["on"] = res
-    for res in unprotected:
-        by_policy.setdefault(res.spec.policy, {})["off"] = res
+    by_policy: dict[str, dict[str, dict]] = {}
+    for side, results in (("on", protected), ("off", unprotected)):
+        for policy, _, summary, _ in _per_app(results):
+            by_policy.setdefault(policy, {})[side] = summary
     regressions = []
     compared = 0
     for policy, pair in sorted(by_policy.items()):
         if "on" not in pair or "off" not in pair:
             continue
         compared += 1
-        g_on = pair["on"].summary["goodput"]
-        g_off = pair["off"].summary["goodput"]
+        g_on = pair["on"]["goodput"]
+        g_off = pair["off"]["goodput"]
         if not g_on > g_off:
             regressions.append(
                 f"{policy}: goodput {g_on:.3f} with shedding vs "

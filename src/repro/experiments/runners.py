@@ -28,7 +28,12 @@ from repro.dag import (
     voice_assistant,
 )
 from repro.dag.graph import AppDAG
-from repro.experiments.parallel import EnvSpec, MultiAppCellSpec, run_grid
+from repro.experiments.parallel import (
+    CellResult,
+    EnvSpec,
+    MultiAppCellSpec,
+    run_grid,
+)
 from repro.experiments.scenario import ScenarioSpec
 from repro.policies import make_policy as registry_make_policy
 from repro.policies import policy_names
@@ -175,7 +180,7 @@ def run_comparison(
         retention=retention,
     )
     return [
-        ComparisonRow.from_summary(res.spec.policy, res.summary)
+        ComparisonRow.from_summary(res.spec.policy, res.summary[env.spec.app])
         for res in run_grid(scenario.cells(), workers=workers)
     ]
 
@@ -208,7 +213,7 @@ def run_sla_sweep(
         retention=retention,
     )
     return [
-        (sla, ComparisonRow.from_summary(policy, res.summary))
+        (sla, ComparisonRow.from_summary(policy, res.summary[env.spec.app]))
         for sla, res in zip(slas, run_grid(scenario.cells(), workers=workers))
     ]
 
@@ -270,6 +275,23 @@ class ScenarioRow:
     row: ComparisonRow
 
 
+def scenario_rows(res: CellResult) -> list[ScenarioRow]:
+    """One row per app of a cell result, with the cell's coordinates."""
+    by_app = {e.app: e for e in res.spec.envs}
+    return [
+        ScenarioRow(
+            app=app,
+            preset=by_app[app].preset,
+            sla=by_app[app].sla,
+            env_seed=by_app[app].seed,
+            sim_seed=res.spec.sim_seed,
+            policy=res.spec.policy,
+            row=ComparisonRow.from_summary(res.spec.policy, summary),
+        )
+        for app, summary in res.summary.items()
+    ]
+
+
 def run_scenario(
     scenario: ScenarioSpec, *, workers: int = 1
 ) -> list[ScenarioRow]:
@@ -278,36 +300,8 @@ def run_scenario(
     Co-run cells expand to one row per co-resident app so the output shape
     is uniform across solo and multi-tenant scenarios.
     """
-    rows: list[ScenarioRow] = []
-    for res in run_grid(scenario.cells(), workers=workers):
-        if isinstance(res.spec, MultiAppCellSpec):
-            by_app = {e.app: e for e in res.spec.envs}
-            for app_name, summary in res.summary.items():
-                env = by_app[app_name]
-                rows.append(
-                    ScenarioRow(
-                        app=app_name,
-                        preset=env.preset,
-                        sla=env.sla,
-                        env_seed=env.seed,
-                        sim_seed=res.spec.sim_seed,
-                        policy=res.spec.policy,
-                        row=ComparisonRow.from_summary(
-                            res.spec.policy, summary
-                        ),
-                    )
-                )
-        else:
-            env = res.spec.env
-            rows.append(
-                ScenarioRow(
-                    app=env.app,
-                    preset=env.preset,
-                    sla=env.sla,
-                    env_seed=env.seed,
-                    sim_seed=res.spec.sim_seed,
-                    policy=res.spec.policy,
-                    row=ComparisonRow.from_summary(res.spec.policy, res.summary),
-                )
-            )
-    return rows
+    return [
+        row
+        for res in run_grid(scenario.cells(), workers=workers)
+        for row in scenario_rows(res)
+    ]

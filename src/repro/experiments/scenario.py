@@ -3,8 +3,8 @@
 A :class:`ScenarioSpec` is a picklable, JSON-loadable description of a
 figure-style experiment.  Its :meth:`~ScenarioSpec.cells` compiler is the
 *single* place that turns experiment axes into grid cells
-(:class:`~repro.experiments.parallel.CellSpec` for solo runs,
-:class:`~repro.experiments.parallel.MultiAppCellSpec` for co-runs), so
+(:class:`~repro.experiments.parallel.MultiAppCellSpec`: one env per cell
+for solo runs, every app per cell for co-runs), so
 ``run_comparison``, ``run_sla_sweep``, ``run_multi_app`` and the
 ``repro scenario`` CLI all flow through one
 :func:`~repro.experiments.parallel.run_grid` execution path — serial is
@@ -28,11 +28,11 @@ cell (the paper's §VII-A setting) instead of running solo.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.experiments.parallel import CellSpec, EnvSpec, MultiAppCellSpec
+from repro.experiments.parallel import EnvSpec, MultiAppCellSpec
 from repro.faults.plan import FaultPlan
 from repro.overload.spec import OverloadSpec
 
@@ -83,14 +83,12 @@ class ScenarioSpec:
     #: completions into streaming accumulators (O(1) memory; latency
     #: distributions approximate within a documented rank-error bound).
     retention: str = "full"
-    #: Shard plane (:mod:`repro.sharding`): fan every cell's (app ×
-    #: trace-slice) units over this many worker processes and merge at the
-    #: barrier.  ``shards > 1`` or ``slices_per_app > 1`` requires
-    #: ``retention="sketch"`` and no ``trace_dir``; merged
-    #: non-distributional metrics are independent of the shard count.
+    #: Worker processes per sharded cell (see ``slices_per_app``); merged
+    #: non-distributional metrics are independent of it.
     shards: int = 1
-    #: Trace slices per app in sharded cells.  Part of the experiment
-    #: definition (it changes which simulations run), unlike ``shards``.
+    #: Trace slices per app: ``> 1`` runs every cell on the shard plane
+    #: (:mod:`repro.sharding`).  Part of the experiment definition (it
+    #: changes which simulations run), unlike ``shards``.
     slices_per_app: int = 1
     #: Replay the published Azure Functions CSV at this path as every
     #: cell's evaluation trace (``repro scenario --azure-trace PATH``);
@@ -105,34 +103,9 @@ class ScenarioSpec:
         for axis in ("slas", "presets", "seeds"):
             if not getattr(self, axis):
                 raise ValueError(f"scenario axis {axis!r} must be non-empty")
-        from repro.simulator.metrics import RETENTION_MODES
-
-        if self.retention not in RETENTION_MODES:
-            raise ValueError(
-                f"unknown retention mode {self.retention!r}; "
-                f"expected one of {RETENTION_MODES}"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.slices_per_app < 1:
-            raise ValueError(
-                f"slices_per_app must be >= 1, got {self.slices_per_app}"
-            )
-        if (self.shards > 1 or self.slices_per_app > 1) and (
-            self.retention != "sketch"
-        ):
-            raise ValueError(
-                "sharded scenarios require retention='sketch' "
-                "(shard snapshots extract streaming state); got "
-                f"retention={self.retention!r}"
-            )
-        if (self.shards > 1 or self.slices_per_app > 1) and (
-            self.trace_dir is not None
-        ):
-            raise ValueError(
-                "sharded scenarios cannot record telemetry traces: each "
-                "unit runs as its own runtime (drop trace_dir or sharding)"
-            )
+        # Compiling checks every cell-level rule (retention, sharding,
+        # tracing) where :class:`MultiAppCellSpec` states it.
+        self.cells()
 
     # ------------------------------------------------------------- loading
     @classmethod
@@ -210,38 +183,18 @@ class ScenarioSpec:
         return asdict(self)
 
     # ------------------------------------------------------------ compiling
-    def cells(self) -> list[CellSpec | MultiAppCellSpec]:
+    def cells(self) -> list[MultiAppCellSpec]:
         """Compile the scenario to grid cells, in deterministic order.
 
-        Solo scenarios produce one :class:`CellSpec` per
+        Solo scenarios produce one one-env cell per
         (preset × app × sla × policy × seed); co-run scenarios produce one
-        :class:`MultiAppCellSpec` per (preset × sla × policy × seed) with
-        every app deployed together.
+        cell per (preset × sla × policy × seed) with every app deployed
+        together.
         """
-        if self.co_run:
-            return [
-                MultiAppCellSpec(
-                    envs=tuple(
-                        self._env_spec(app, preset, sla) for app in self.apps
-                    ),
-                    policy=policy,
-                    sim_seed=seed,
-                    trace_dir=self.trace_dir,
-                    init_failure_rate=self.init_failure_rate,
-                    faults=self.faults,
-                    overload=self.overload,
-                    retention=self.retention,
-                    shards=self.shards,
-                    slices_per_app=self.slices_per_app,
-                )
-                for preset in self.presets
-                for sla in self.slas
-                for policy in self.policies
-                for seed in self.seeds
-            ]
+        groups = (self.apps,) if self.co_run else tuple((a,) for a in self.apps)
         return [
-            CellSpec(
-                env=self._env_spec(app, preset, sla),
+            MultiAppCellSpec(
+                envs=tuple(self._env_spec(app, preset, sla) for app in apps),
                 policy=policy,
                 sim_seed=seed,
                 trace_dir=self.trace_dir,
@@ -253,7 +206,7 @@ class ScenarioSpec:
                 slices_per_app=self.slices_per_app,
             )
             for preset in self.presets
-            for app in self.apps
+            for apps in groups
             for sla in self.slas
             for policy in self.policies
             for seed in self.seeds
@@ -266,8 +219,9 @@ class ScenarioSpec:
         multi-tenant runtime (every app co-deployed, as in a real
         deployment), so each experiment axis must be pinned to exactly
         one value.  ``co_run`` is irrelevant here — serving always
-        co-hosts.  Fault plans, sharding and telemetry tracing are not
-        supported by the live path and are rejected up front.
+        co-hosts.  :class:`~repro.serving.SimDriver` rejects what the
+        live path does not support (fault plans, sharding, telemetry
+        tracing).
         """
         for axis in ("policies", "slas", "presets", "seeds"):
             values = getattr(self, axis)
@@ -276,26 +230,8 @@ class ScenarioSpec:
                     f"live serving needs exactly one value on the {axis!r} "
                     f"axis, got {values!r}"
                 )
-        if self.faults is not None:
-            raise ValueError("live serving does not support fault plans yet")
-        if self.shards != 1 or self.slices_per_app != 1:
-            raise ValueError("live serving does not support sharding")
-        if self.trace_dir is not None:
-            raise ValueError(
-                "live serving does not record telemetry traces "
-                "(it writes a request log instead)"
-            )
-        return MultiAppCellSpec(
-            envs=tuple(
-                self._env_spec(app, self.presets[0], self.slas[0])
-                for app in self.apps
-            ),
-            policy=self.policies[0],
-            sim_seed=self.seeds[0],
-            init_failure_rate=self.init_failure_rate,
-            overload=self.overload,
-            retention=self.retention,
-        )
+        (cell,) = replace(self, co_run=True).cells()
+        return cell
 
     def _env_spec(self, app: str, preset: str, sla: float) -> EnvSpec:
         return EnvSpec(

@@ -206,10 +206,13 @@ class SimDriver:
                 "(flash crowds and retry storms would inject arrivals "
                 "outside the request log)"
             )
-        if cell.shards != 1 or cell.slices_per_app != 1:
-            raise ValueError("live serving requires shards=1, slices_per_app=1")
+        if cell.slices_per_app != 1:
+            raise ValueError("live serving does not support sharding")
         if cell.trace_dir is not None:
-            raise ValueError("live serving does not record telemetry traces")
+            raise ValueError(
+                "live serving does not record telemetry traces "
+                "(it writes a request log instead)"
+            )
         names = [spec.app for spec in cell.envs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate application names: {names}")

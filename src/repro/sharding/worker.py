@@ -13,10 +13,10 @@ over a process pool, then merge the shard snapshots at the barrier with
 :func:`~repro.sharding.snapshot.merge_snapshots`.  Because each unit's
 trace window and seed derive only from the unit itself (see
 :func:`~repro.simulator.runtime.derive_slice_seed`), the merged snapshot
-is a pure function of the plan — any shard count, any process placement,
-same bits.
+is a pure function of the plan and the cell — any shard count, any process
+placement, same bits.
 
-Serial fallback contract (mirrors ``run_grid``'s): a daemonic caller
+Serial fallback contract: a daemonic caller
 (we're already inside someone's pool worker — nested pools are forbidden)
 or a pool that fails to start degrades to in-process execution with a
 ``RuntimeWarning``; results are identical either way, only slower.
@@ -30,41 +30,35 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
 
-from repro.experiments.parallel import EnvSpec, _environment
+from repro.experiments.parallel import EnvSpec, MultiAppCellSpec, _environment
 from repro.sharding.plan import ShardPlan, ShardUnit
 from repro.sharding.snapshot import ShardSnapshot, UnitSnapshot, merge_snapshots
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.faults.plan import FaultPlan
-    from repro.overload.spec import OverloadSpec
 
 __all__ = ["ShardTask", "run_shard", "run_sharded"]
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker process needs, in picklable form."""
+    """Everything one worker process needs, in picklable form.
+
+    ``cell`` supplies the environments (one per app in ``units``), the
+    policy, the root seed and the failure and overload regime; the units
+    fix which trace slices run.
+    """
 
     shard_index: int
     units: tuple[ShardUnit, ...]
-    #: Environment recipe per app; must cover every app in ``units``.
-    envs: tuple[EnvSpec, ...]
-    policy: str
-    sim_seed: int = 3
-    init_failure_rate: float = 0.0
-    faults: "FaultPlan | None" = None
-    overload: "OverloadSpec | None" = None
+    cell: MultiAppCellSpec
 
     def env_for(self, app: str) -> EnvSpec:
         """The environment recipe of one app (KeyError if unmapped)."""
-        for env in self.envs:
+        for env in self.cell.envs:
             if env.app == app:
                 return env
         raise KeyError(
             f"shard task has no environment for app {app!r}; "
-            f"mapped: {sorted(e.app for e in self.envs)}"
+            f"mapped: {sorted(e.app for e in self.cell.envs)}"
         )
 
 
@@ -86,21 +80,22 @@ def _run_unit(task: ShardTask, unit: ShardUnit) -> UnitSnapshot:
             else (unit.slice_index + 1) * width
         )
         trace = env.trace.slice(start, end)
+    cell = task.cell
     seed = derive_slice_seed(
-        task.sim_seed, unit.app, unit.slice_index, unit.n_slices
+        cell.sim_seed, unit.app, unit.slice_index, unit.n_slices
     )
     # Built before the clock starts, as in run_cell: predictor training
     # is offline preparation, not simulation.
-    policy = env.make_policy(task.policy)
+    policy = env.make_policy(cell.policy)
     wall_start = time.perf_counter()
     sim = ServerlessSimulator(
         env.app,
         trace,
         policy,
         seed=seed,
-        init_failure_rate=task.init_failure_rate,
-        faults=task.faults,
-        overload=task.overload,
+        init_failure_rate=cell.init_failure_rate,
+        faults=cell.faults,
+        overload=cell.overload,
         retention="sketch",
     )
     metrics = sim.run()
@@ -128,61 +123,36 @@ def run_shard(task: ShardTask) -> ShardSnapshot:
     )
 
 
-def _tasks(
-    plan: ShardPlan,
-    envs: tuple[EnvSpec, ...],
-    policy: str,
-    sim_seed: int,
-    init_failure_rate: float,
-    faults: "FaultPlan | None",
-    overload: "OverloadSpec | None",
-) -> list[ShardTask]:
-    mapped = {env.app for env in envs}
-    missing = set(plan.apps) - mapped
-    if missing:
-        raise ValueError(
-            f"plan needs environments for apps {sorted(missing)}; "
-            f"mapped: {sorted(mapped)}"
-        )
-    return [
-        ShardTask(
-            shard_index=i,
-            units=units,
-            envs=envs,
-            policy=policy,
-            sim_seed=sim_seed,
-            init_failure_rate=init_failure_rate,
-            faults=faults,
-            overload=overload,
-        )
-        for i, units in enumerate(plan.assignments())
-    ]
-
-
 def run_sharded(
     plan: ShardPlan,
-    envs: "tuple[EnvSpec, ...] | list[EnvSpec]",
-    policy: str,
+    cell: MultiAppCellSpec,
     *,
-    sim_seed: int = 3,
     processes: int | None = None,
     mp_context: str | None = None,
-    init_failure_rate: float = 0.0,
-    faults: "FaultPlan | None" = None,
-    overload: "OverloadSpec | None" = None,
 ) -> ShardSnapshot:
     """Scatter the plan over worker processes; merge at the barrier.
 
-    ``processes`` caps the pool size (default: the plan's shard count);
-    ``mp_context`` picks the multiprocessing start method (``"spawn"``,
-    ``"fork"``, ...; default: the platform's).  Runs serially — same
-    result, one process — when only one shard has work, when ``processes``
-    is 1, when called from a daemonic (pool-worker) process, or when the
-    pool cannot start (``RuntimeWarning``).
+    ``cell`` supplies every planned app's environment, the policy, the
+    root seed and the failure and overload regime; the plan, not the
+    cell's ``shards``/``slices_per_app``, fixes the units, and every unit
+    keeps sketch retention.  ``processes`` caps the pool size (default:
+    the plan's shard count); ``mp_context`` picks the multiprocessing
+    start method (``"spawn"``, ``"fork"``, ...; default: the platform's).
+    Runs serially — same result, one process — when only one shard has
+    work, when ``processes`` is 1, when called from a daemonic
+    (pool-worker) process, or when the pool cannot start
+    (``RuntimeWarning``).
     """
-    tasks = _tasks(
-        plan, tuple(envs), policy, sim_seed, init_failure_rate, faults, overload
-    )
+    missing = set(plan.apps) - {env.app for env in cell.envs}
+    if missing:
+        raise ValueError(
+            f"plan needs environments for apps {sorted(missing)}; "
+            f"mapped: {sorted(e.app for e in cell.envs)}"
+        )
+    tasks = [
+        ShardTask(shard_index=i, units=units, cell=cell)
+        for i, units in enumerate(plan.assignments())
+    ]
     workers = len(tasks) if processes is None else min(processes, len(tasks))
     if workers < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")

@@ -1401,6 +1401,13 @@ class Gateway:
         self.pools[inst.function].remove(inst, prev_state)
         self._retry_pending_launches()
 
+    def _pending_count(
+        self, fn: str, config: HardwareConfig | None
+    ) -> int:
+        """Launches of ``fn`` waiting for capacity (of one config, or all)."""
+        pending = self.pending_launches[fn]
+        return len(pending) if config is None else pending.count(config)
+
     def _retry_pending_launches(self) -> None:
         if self._shutting_down:
             return
@@ -1444,7 +1451,12 @@ class Gateway:
         def fire() -> None:
             directive = self.directives[function]
             cfg = config or directive.config
-            uncommitted = self.pools[function].uncommitted_count(config)
+            # Launches still waiting for cluster capacity will come up as
+            # uncommitted instances too; launching more would only queue
+            # behind them.
+            uncommitted = self.pools[function].uncommitted_count(
+                config
+            ) + self._pending_count(function, config)
             # Instances already owed to open invocations — queued here or
             # still traversing upstream stages — don't count as available
             # for the upcoming invocation this warm-up targets.
@@ -1520,7 +1532,10 @@ class Gateway:
             # must not count instances launched within this very pass.
             live_n = pool.live_count()
             deficit = directive.min_warm - pool.live_count(cfg)
-            for _ in range(deficit):
+            # Same-config launches still waiting for capacity already cover
+            # part of the deficit: re-requesting them every window would
+            # grow the pending queue without bound on a full cluster.
+            for _ in range(deficit - self._pending_count(fn, cfg)):
                 self._launch(fn, cfg)
             if deficit < 0 and math.isinf(directive.keep_alive):
                 # Always-on fleets are sized purely by min_warm: shed idle

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG management, validation helpers."""
 
-from repro.utils.rng import child_rng, ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_finite,
     check_in_range,
@@ -9,7 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "child_rng",
     "ensure_rng",
     "spawn_rngs",
     "check_finite",

@@ -3,7 +3,7 @@
 Every stochastic component in the reproduction (ground-truth noise, workload
 generation, predictor initialization, Bayesian optimization) accepts either a
 seed or a :class:`numpy.random.Generator`.  These helpers normalize the two
-and derive independent child streams so that experiments are reproducible
+and spawn independent streams so that experiments are reproducible
 end-to-end from a single root seed.
 """
 
@@ -27,18 +27,6 @@ def ensure_rng(rng: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng))
     raise TypeError(f"expected int, Generator or None, got {type(rng)!r}")
-
-
-def child_rng(rng: np.random.Generator, tag: str) -> np.random.Generator:
-    """Derive an independent child stream keyed by a string tag.
-
-    The tag is hashed into the spawn key so that the same parent seed and tag
-    always produce the same child stream, regardless of the order in which
-    children are requested.
-    """
-    digest = abs(hash(tag)) % (2**32)
-    seed = int(rng.integers(0, 2**32)) ^ digest
-    return np.random.default_rng(seed)
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:

@@ -153,27 +153,24 @@ def test_scenario_spec_threads_azure_trace(csv_path):
         }
     )
     cells = spec.cells()
-    assert all(c.env.azure_trace == str(csv_path) for c in cells)
+    assert all(c.envs[0].azure_trace == str(csv_path) for c in cells)
     env = EnvSpec(app="image-query", azure_trace=str(csv_path))
     again = ScenarioSpec.for_environment(env, policies=("on-demand",))
     assert again.azure_trace == str(csv_path)
 
 
 def test_scenario_runs_on_azure_trace_end_to_end(csv_path):
-    from repro.experiments.parallel import CellSpec, run_cell
+    from repro.experiments.parallel import MultiAppCellSpec, run_cell
 
-    spec = CellSpec(
-        env=EnvSpec(
-            app="image-query",
-            sla=2.0,
-            duration=120.0,
-            train_duration=600.0,
-            azure_trace=str(csv_path),
-        ),
-        policy="on-demand",
+    env = EnvSpec(
+        app="image-query",
+        sla=2.0,
+        duration=120.0,
+        train_duration=600.0,
+        azure_trace=str(csv_path),
     )
-    res = run_cell(spec)
-    x = res.extras
+    res = run_cell(MultiAppCellSpec(envs=(env,), policy="on-demand"))
+    x = res.extras["image-query"]
     assert x["arrivals"] == x["completed"] + x["unfinished"] + x["timed_out"]
     assert x["arrivals"] == len(
         AzureTraceWorkload(str(csv_path)).generate(120.0, seed=1000)

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.parallel import CellSpec, EnvSpec, cell_trace_path, run_cell
+from repro.experiments.parallel import (
+    EnvSpec,
+    MultiAppCellSpec,
+    cell_trace_path,
+    run_cell,
+)
 from repro.experiments.scenario import ScenarioSpec
 from repro.telemetry import aggregate, read_jsonl
 
@@ -126,8 +131,8 @@ class TestChaosFlags:
 
 class TestGridTracing:
     def test_cell_trace_path_and_run_cell(self, tmp_path):
-        spec = CellSpec(
-            env=EnvSpec(app="image-query", duration=60.0),
+        spec = MultiAppCellSpec(
+            envs=(EnvSpec(app="image-query", duration=60.0),),
             policy="on-demand",
             trace_dir=str(tmp_path),
         )
@@ -136,7 +141,7 @@ class TestGridTracing:
         result = run_cell(spec)
         assert path.exists()
         summary = aggregate(read_jsonl(path)).summary()
-        for key, value in result.summary.items():
+        for key, value in result.summary["image-query"].items():
             if value != value:  # NaN
                 assert summary[key] != summary[key]
             else:
@@ -154,6 +159,8 @@ class TestGridTracing:
         assert all(c.trace_dir == str(tmp_path) for c in cells)
 
     def test_untraced_cell_writes_nothing(self, tmp_path):
-        spec = CellSpec(env=EnvSpec(app="image-query", duration=60.0), policy="on-demand")
+        spec = MultiAppCellSpec(
+            envs=(EnvSpec(app="image-query", duration=60.0),), policy="on-demand"
+        )
         run_cell(spec)
         assert list(tmp_path.iterdir()) == []

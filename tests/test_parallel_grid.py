@@ -4,8 +4,8 @@ import pytest
 
 from repro.cli import build_parser
 from repro.experiments import (
-    CellSpec,
     EnvSpec,
+    MultiAppCellSpec,
     build_environment,
     product_grid,
     run_comparison,
@@ -27,8 +27,8 @@ def environment():
 
 class TestCellExecution:
     def test_run_cell_reports_timing_and_events(self):
-        spec = CellSpec(
-            env=EnvSpec(app="image-query", duration=DURATION),
+        spec = MultiAppCellSpec(
+            envs=(EnvSpec(app="image-query", duration=DURATION),),
             policy="grandslam",
         )
         result = run_cell(spec)
@@ -36,17 +36,17 @@ class TestCellExecution:
         assert result.events_processed > 0
         assert result.wall_clock > 0
         assert result.events_per_second > 0
-        assert "total_cost" in result.summary
+        assert "total_cost" in result.summary["image-query"]
 
     def test_product_grid_order_and_shape(self):
         cells = product_grid(
             ["a1", "a2"], ["p1", "p2"], slas=(1.0, 2.0), seeds=(3,)
         )
         assert len(cells) == 8
-        assert cells[0].env.app == "a1"
+        assert cells[0].envs[0].app == "a1"
         assert [c.policy for c in cells[:2]] == ["p1", "p2"]
-        assert cells[0].env.sla == 1.0
-        assert cells[-1].env.app == "a2"
+        assert cells[0].envs[0].sla == 1.0
+        assert cells[-1].envs[0].app == "a2"
 
     def test_run_grid_rejects_bad_workers(self):
         with pytest.raises(ValueError):

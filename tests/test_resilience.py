@@ -15,7 +15,12 @@ import pytest
 
 from repro.dag import linear_pipeline
 from repro.experiments import build_environment
-from repro.experiments.parallel import CellSpec, EnvSpec, cell_trace_path, run_grid
+from repro.experiments.parallel import (
+    EnvSpec,
+    MultiAppCellSpec,
+    cell_trace_path,
+    run_grid,
+)
 from repro.experiments.runners import POLICY_NAMES
 from repro.faults import (
     ExecutionFault,
@@ -448,8 +453,8 @@ def test_chaos_grid_bit_identical_serial_vs_parallel(tmp_path):
 
     def cells(trace_dir):
         return [
-            CellSpec(
-                env=env, policy=p, sim_seed=3,
+            MultiAppCellSpec(
+                envs=(env,), policy=p, sim_seed=3,
                 trace_dir=str(trace_dir), faults=plan,
             )
             for p in ("always-on", "on-demand")

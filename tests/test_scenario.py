@@ -6,9 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import (
-    CellSpec,
     EnvSpec,
-    MultiAppCellSpec,
     ScenarioSpec,
     build_environment,
     run_multi_app,
@@ -104,9 +102,9 @@ class TestCompilation:
         )
         cells = spec.cells()
         assert len(cells) == 2 * 2 * 2 * 2
-        assert all(isinstance(c, CellSpec) for c in cells)
+        assert all(len(c.envs) == 1 for c in cells)
         assert len(set(cells)) == len(cells)
-        assert {c.env.app for c in cells} == {"image-query", "amber-alert"}
+        assert {c.envs[0].app for c in cells} == {"image-query", "amber-alert"}
 
     def test_co_run_cells_deploy_all_apps_together(self):
         spec = ScenarioSpec(
@@ -117,21 +115,20 @@ class TestCompilation:
         )
         cells = spec.cells()
         assert len(cells) == 2  # one per policy; apps share each cell
-        assert all(isinstance(c, MultiAppCellSpec) for c in cells)
         assert all(len(c.envs) == 2 for c in cells)
 
     def test_for_environment_pins_env_axes(self):
         env = EnvSpec(app="amber-alert", preset="diurnal", sla=4.0, duration=90.0)
         spec = ScenarioSpec.for_environment(env, policies=("smiless",))
         (cell,) = spec.cells()
-        assert cell.env == env
+        assert cell.envs == (env,)
 
     def test_for_environment_sla_override(self):
         env = EnvSpec(app="amber-alert", sla=4.0)
         spec = ScenarioSpec.for_environment(
             env, policies=("smiless",), slas=(1.0, 8.0)
         )
-        assert [c.env.sla for c in spec.cells()] == [1.0, 8.0]
+        assert [c.envs[0].sla for c in spec.cells()] == [1.0, 8.0]
 
 
 class TestRunScenario:

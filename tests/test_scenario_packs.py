@@ -17,7 +17,7 @@ from repro.experiments.packs import (
     _swap_checks,
     pack_spec,
 )
-from repro.experiments.parallel import CellResult, CellSpec, EnvSpec
+from repro.experiments.parallel import CellResult, EnvSpec, MultiAppCellSpec
 from repro.policies import policy_names
 
 
@@ -29,11 +29,11 @@ def result(app, policy, *, summary=None, **extras):
     )
     defaults.update(extras)
     return CellResult(
-        spec=CellSpec(env=EnvSpec(app=app), policy=policy),
-        summary=summary or {},
+        spec=MultiAppCellSpec(envs=(EnvSpec(app=app),), policy=policy),
+        summary={app: summary or {}},
         wall_clock=0.1,
         events_processed=100,
-        extras=defaults,
+        extras={app: defaults},
     )
 
 
@@ -152,16 +152,13 @@ def test_swap_checks_require_activity_and_strict_reduction():
 
 
 def test_pack_report_ok_and_rows():
-    res = result("llm-chat", "smiless")
-    res = CellResult(
-        spec=res.spec,
+    res = result(
+        "llm-chat",
+        "smiless",
         summary={
             "total_cost": 1.0, "violation_ratio": 0.0, "mean_latency": 1.0,
             "p99_latency": 2.0, "reinit_fraction": 0.0,
         },
-        wall_clock=res.wall_clock,
-        events_processed=res.events_processed,
-        extras=res.extras,
     )
     report = PackReport(
         pack="llm",

@@ -185,14 +185,29 @@ class TestServeCellCompilation:
             ).serve_cell()
         with pytest.raises(ValueError, match="slas"):
             ScenarioSpec(**base, slas=(1.0, 2.0)).serve_cell()
+        # The compiled cell carries what live serving cannot host, and
+        # the driver rejects it before building anything.
         with pytest.raises(ValueError, match="fault plans"):
-            ScenarioSpec(**base, faults=FaultPlan()).serve_cell()
+            SimDriver(
+                ScenarioSpec(**base, faults=FaultPlan()).serve_cell(),
+                horizon=HORIZON,
+            )
         with pytest.raises(ValueError, match="sharding"):
             ScenarioSpec(
                 **base, shards=2, retention="sketch"
             ).serve_cell()
+        with pytest.raises(ValueError, match="sharding"):
+            SimDriver(
+                ScenarioSpec(
+                    **base, shards=2, slices_per_app=2, retention="sketch"
+                ).serve_cell(),
+                horizon=HORIZON,
+            )
         with pytest.raises(ValueError, match="request log"):
-            ScenarioSpec(**base, trace_dir="/tmp/x").serve_cell()
+            SimDriver(
+                ScenarioSpec(**base, trace_dir="/tmp/x").serve_cell(),
+                horizon=HORIZON,
+            )
 
 
 class TestAdmissionPartition:

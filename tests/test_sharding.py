@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.parallel import EnvSpec
+from repro.experiments.parallel import EnvSpec, MultiAppCellSpec
 from repro.experiments.scenario import ScenarioSpec
 from repro.faults.plan import ExecutionFault, FaultPlan, ResilienceSpec
 from repro.metrics import QuantileSketch
@@ -320,8 +320,9 @@ class TestSpawnSafety:
             ShardTask(
                 shard_index=0,
                 units=(ShardUnit(app="image-query"),),
-                envs=(EnvSpec(app="image-query"),),
-                policy="grandslam",
+                cell=MultiAppCellSpec(
+                    envs=(EnvSpec(app="image-query"),), policy="grandslam"
+                ),
             ),
         ],
         ids=["plan", "snapshot", "scenario", "faults", "task"],
@@ -337,11 +338,12 @@ class TestSpawnSafety:
         plan = ShardPlan.for_apps(
             ["image-query"], n_shards=2, slices_per_app=2
         )
-        envs = (EnvSpec(app="image-query", duration=40.0),)
-        spawned = run_sharded(
-            plan, envs, "grandslam", processes=2, mp_context="spawn"
+        cell = MultiAppCellSpec(
+            envs=(EnvSpec(app="image-query", duration=40.0),),
+            policy="grandslam",
         )
-        serial = run_sharded(plan, envs, "grandslam", processes=1)
+        spawned = run_sharded(plan, cell, processes=2, mp_context="spawn")
+        serial = run_sharded(plan, cell, processes=1)
         assert spawned == serial
         _assert_summary_equal(spawned.summary(), serial.summary())
 
@@ -356,9 +358,12 @@ class TestSpawnSafety:
         )
         plan = ShardPlan.for_apps(["image-query"], n_shards=2,
                                   slices_per_app=2)
-        envs = (EnvSpec(app="image-query", duration=20.0),)
+        cell = MultiAppCellSpec(
+            envs=(EnvSpec(app="image-query", duration=20.0),),
+            policy="grandslam",
+        )
         with pytest.warns(RuntimeWarning, match="daemonic"):
-            snap = run_sharded(plan, envs, "grandslam")
+            snap = run_sharded(plan, cell)
         assert len(snap.units) == 2
 
 
@@ -413,6 +418,29 @@ class TestCliBenchGuards:
             build_parser().parse_args(["bench", "--micro"])
         assert exc.value.code == 2
 
+    def test_unsliced_sharded_bench_rejected_before_running(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Several workers over one slice per app would silently swap the
+        # shared-cluster co-run for isolated per-app clusters; the cell
+        # rejects it before anything is simulated.
+        import repro.experiments.parallel as parallel
+        from repro.cli import main
+
+        def no_run(spec):
+            raise AssertionError("bench simulated an invalid cell")
+
+        monkeypatch.setattr(parallel, "run_cell", no_run)
+        out = tmp_path / "bench.json"
+        code = main(
+            ["bench", "--macro", "--invocations", "3000", "--shards", "2",
+             "--slices-per-app", "1", "--retention", "sketch",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "slices_per_app" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sharded_bench_requires_sketch_retention(self, capsys):
         from repro.cli import main
 
@@ -428,4 +456,9 @@ def test_run_sharded_requires_env_for_every_app():
     with pytest.raises(ValueError, match="amber-alert"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            run_sharded(plan, (EnvSpec(app="image-query"),), "grandslam")
+            run_sharded(
+                plan,
+                MultiAppCellSpec(
+                    envs=(EnvSpec(app="image-query"),), policy="grandslam"
+                ),
+            )

@@ -25,7 +25,13 @@ import pytest
 
 from tests.test_retention_differential import COUNTERS, EXACT_FIELDS
 
-from repro.experiments.parallel import EnvSpec, _environment
+from repro.experiments.parallel import (
+    EnvSpec,
+    MultiAppCellSpec,
+    _environment,
+    run_cell,
+)
+from repro.experiments.scenario import ScenarioSpec
 from repro.faults.plan import ExecutionFault, FaultPlan, FlashCrowd, ResilienceSpec
 from repro.overload import OverloadSpec
 from repro.sharding import ShardPlan, run_sharded
@@ -35,10 +41,15 @@ from repro.simulator.runtime import derive_slice_seed
 APPS = ("amber-alert", "image-query", "voice-assistant")
 
 
-def _envs(apps, duration):
-    return tuple(
-        EnvSpec(app=app, preset="flood", sla=2.0, duration=duration)
-        for app in apps
+def _cell(apps, duration, **knobs):
+    """A grandslam cell over flood environments of ``apps``."""
+    return MultiAppCellSpec(
+        envs=tuple(
+            EnvSpec(app=app, preset="flood", sla=2.0, duration=duration)
+            for app in apps
+        ),
+        policy="grandslam",
+        **knobs,
     )
 
 
@@ -68,14 +79,14 @@ class TestFourShardParity:
 
     @pytest.fixture(scope="class")
     def snapshots(self):
-        envs = _envs(APPS, self.DURATION)
+        cell = _cell(APPS, self.DURATION)
         plan4 = ShardPlan.for_apps(APPS, n_shards=4, slices_per_app=4)
         plan1 = ShardPlan.for_apps(APPS, n_shards=1, slices_per_app=4)
         # Serial reference first: with the fork start method the pool
         # workers then inherit this process's warm environment cache.
-        reference = run_sharded(plan1, envs, "grandslam", processes=1)
-        sharded = run_sharded(plan4, envs, "grandslam")
-        return sharded, reference, envs
+        reference = run_sharded(plan1, cell, processes=1)
+        sharded = run_sharded(plan4, cell)
+        return sharded, reference, cell.envs
 
     def test_snapshots_bit_identical(self, snapshots):
         sharded, reference, _ = snapshots
@@ -144,6 +155,33 @@ class TestFourShardParity:
             assert err <= bound + 1e-12, (q, err, bound)
 
 
+class TestOneSliceParity:
+    """A one-env cell is the one-slice shard unit of its app, bit for bit.
+
+    Both seed the tenant with ``derive_app_seed(sim_seed, app)`` and run
+    the whole trace on a cluster of its own, so a solo scenario cell and
+    ``run_sharded`` over the one-slice plan agree on every summary field.
+    """
+
+    @pytest.mark.parametrize("policy", ["grandslam", "icebreaker"])
+    def test_solo_cell_matches_one_slice_unit(self, policy):
+        (cell,) = ScenarioSpec(
+            apps=("image-query",),
+            policies=(policy,),
+            duration=120.0,
+            retention="sketch",
+        ).cells()
+        solo = run_cell(cell).summary["image-query"]
+        unit = run_sharded(
+            ShardPlan.for_apps(["image-query"]), cell
+        ).summary()["image-query"]
+        assert set(solo) == set(unit)
+        for key, value in solo.items():
+            assert value == unit[key] or (
+                math.isnan(value) and math.isnan(unit[key])
+            ), key
+
+
 class TestChaosParity:
     """Fault counters survive the barrier merge bit for bit."""
 
@@ -154,17 +192,15 @@ class TestChaosParity:
         plan1 = ShardPlan.for_apps(
             ["image-query"], n_shards=1, slices_per_app=2
         )
-        envs = _envs(["image-query"], 300.0)
         faults = FaultPlan(
             execution_faults=(ExecutionFault(rate=0.25),),
             resilience=ResilienceSpec(
                 max_retries=6, retry_backoff=0.3, deadline_factor=4.0
             ),
         )
-        sharded = run_sharded(plan2, envs, "grandslam", faults=faults)
-        reference = run_sharded(
-            plan1, envs, "grandslam", processes=1, faults=faults
-        )
+        cell = _cell(["image-query"], 300.0, faults=faults)
+        sharded = run_sharded(plan2, cell)
+        reference = run_sharded(plan1, cell, processes=1)
         assert sharded == reference
         merged = sharded.per_app_metrics()
         ref = reference.per_app_metrics()
@@ -193,7 +229,6 @@ class TestOverloadParity:
         plan1 = ShardPlan.for_apps(
             ["image-query"], n_shards=1, slices_per_app=2
         )
-        envs = _envs(["image-query"], 300.0)
         faults = FaultPlan(
             flash_crowds=(FlashCrowd(rate=40.0, start=100.0, end=108.0),)
         )
@@ -203,13 +238,9 @@ class TestOverloadParity:
             admission_rate=20.0,
             admission_burst=10.0,
         )
-        sharded = run_sharded(
-            plan2, envs, "grandslam", faults=faults, overload=overload
-        )
-        reference = run_sharded(
-            plan1, envs, "grandslam", processes=1, faults=faults,
-            overload=overload,
-        )
+        cell = _cell(["image-query"], 300.0, faults=faults, overload=overload)
+        sharded = run_sharded(plan2, cell)
+        reference = run_sharded(plan1, cell, processes=1)
         assert sharded == reference
         merged = sharded.per_app_metrics()
         assert_metrics_identical(merged, reference.per_app_metrics())
@@ -224,7 +255,7 @@ class TestOverloadParity:
         assert m.peak_queue_depth == max(u.peak_queue_depth for u in units)
         assert m.peak_queue_depth <= overload.queue_limit
         # Extended conservation across the slice boundaries.
-        arrivals = len(_environment(envs[0]).trace)
+        arrivals = len(_environment(cell.envs[0]).trace)
         assert arrivals + m.injected_arrivals == (
             m.n_completed + m.unfinished + m.timed_out + m.shed + m.rejected
         )

@@ -10,7 +10,6 @@ from repro.utils import (
     check_in_range,
     check_positive,
     check_probability,
-    child_rng,
     ensure_rng,
     spawn_rngs,
 )
@@ -41,11 +40,6 @@ class TestEnsureRng:
 
 
 class TestChildAndSpawn:
-    def test_child_rng_independent_of_parent_draws(self):
-        parent = ensure_rng(7)
-        child = child_rng(parent, "workload")
-        assert isinstance(child, np.random.Generator)
-
     def test_spawn_rngs_count_and_independence(self):
         rngs = spawn_rngs(123, 4)
         assert len(rngs) == 4
