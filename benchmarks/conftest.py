@@ -28,7 +28,7 @@ from repro.policies import (
 )
 from repro.predictor import InterArrivalPredictor, InvocationPredictor
 from repro.profiler import OfflineProfiler, oracle_profile
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.workload import AzureLikeWorkload, Trace
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -84,9 +84,14 @@ class AppSetup:
 
     def run(self, policy_name: str, *, trace: Trace | None = None, seed: int = 3):
         """Simulate one policy on this app's trace."""
-        return ServerlessSimulator(
-            self.app, trace or self.trace, self.make_policy(policy_name), seed=seed
-        ).run()
+        rt = Runtime()
+        rt.add_app(
+            self.app,
+            trace or self.trace,
+            self.make_policy(policy_name),
+            seed=seed,
+        )
+        return rt.run()[self.app.name]
 
 
 def _build_setup(app: AppDAG, preset: str, seed_base: int) -> AppSetup:

@@ -13,7 +13,7 @@ system.  Paper shapes:
 import numpy as np
 from conftest import emit
 
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 
 SLAS = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 POLICIES = ("smiless", "orion", "grandslam", "aquatope")
@@ -24,9 +24,9 @@ def regenerate(setup):
     for sla in SLAS:
         app = setup.app.with_sla(sla)
         for policy in POLICIES:
-            m = ServerlessSimulator(
-                app, setup.trace, setup.make_policy(policy), seed=3
-            ).run()
+            rt = Runtime()
+            rt.add_app(app, setup.trace, setup.make_policy(policy), seed=3)
+            m = rt.run()[app.name]
             rows[policy].append((m.total_cost(), m.violation_ratio()))
     lines = ["Fig. 10 — cost / violation ratio vs SLA (image-query)"]
     header = f"{'policy':<12}" + "".join(f" {f'SLA {s:g}s':>15}" for s in SLAS)

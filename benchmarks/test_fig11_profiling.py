@@ -16,7 +16,7 @@ from repro.dag.models import MODEL_REGISTRY
 from repro.hardware import GroundTruthPerformance, HardwareConfig
 from repro.policies import SMIlessPolicy
 from repro.profiler import OfflineProfiler, smape
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 
 
 def fig11a(setup):
@@ -39,7 +39,9 @@ def fig11a(setup):
             prewarm_safety=0.0,
             seed=0,
         )
-        m = ServerlessSimulator(setup.app, setup.trace, policy, seed=3).run()
+        rt = Runtime()
+        rt.add_app(setup.app, setup.trace, policy, seed=3)
+        m = rt.run()[setup.app.name]
         out[label] = m.violation_ratio()
     return out
 

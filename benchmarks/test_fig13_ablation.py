@@ -9,7 +9,7 @@
 from conftest import emit
 
 from repro.policies import SMIlessHomoPolicy, SMIlessNoDagPolicy, SMIlessPolicy
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 
 
 def run(setup, policy_cls, *, sla=None, **kw):
@@ -21,7 +21,9 @@ def run(setup, policy_cls, *, sla=None, **kw):
         seed=0,
         **kw,
     )
-    return ServerlessSimulator(app, setup.trace, policy, seed=3).run()
+    rt = Runtime()
+    rt.add_app(app, setup.trace, policy, seed=3)
+    return rt.run()[app.name]
 
 
 def regenerate(setups):

@@ -15,7 +15,7 @@ from repro.policies import (
     SMIlessPolicy,
 )
 from repro.profiler import OfflineProfiler, oracle_profile
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.workload import AzureLikeWorkload
 
 
@@ -42,7 +42,9 @@ def main() -> None:
           f"{'reinit':>7} {'cpu$':>8} {'gpu$':>8}")
     rows = []
     for policy in policies:
-        metrics = ServerlessSimulator(app, trace, policy, seed=3).run()
+        rt = Runtime()
+        rt.add_app(app, trace, policy, seed=3)
+        metrics = rt.run()[app.name]
         s = metrics.summary()
         rows.append((policy.name, s))
         print(

@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 from repro.dag import image_query
 from repro.policies import SMIlessPolicy
 from repro.profiler import OfflineProfiler
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.workload import AzureLikeWorkload
 
 
@@ -41,7 +41,9 @@ def main() -> None:
 
     # 4. Serve under SMIless (LSTM predictors trained on the history).
     policy = SMIlessPolicy(profiles, train_counts=train_counts, seed=0)
-    metrics = ServerlessSimulator(app, trace, policy, seed=3).run()
+    rt = Runtime()
+    rt.add_app(app, trace, policy, seed=3)
+    metrics = rt.run()[app.name]
 
     # 5. Results.
     assert policy.strategy is not None

@@ -12,7 +12,7 @@ import numpy as np
 from repro.dag import voice_assistant
 from repro.policies import GrandSLAmPolicy, OrionPolicy, SMIlessPolicy
 from repro.profiler import OfflineProfiler
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.workload import AzureLikeWorkload
 
 
@@ -24,7 +24,9 @@ def main() -> None:
     trace = AzureLikeWorkload.preset("bursty", seed=9).generate(600.0)
 
     policy = SMIlessPolicy(profiles, train_counts=train_counts, seed=0)
-    metrics = ServerlessSimulator(app, trace, policy, seed=3).run()
+    rt = Runtime()
+    rt.add_app(app, trace, policy, seed=3)
+    metrics = rt.run()[app.name]
 
     pods = metrics.pods_over_time()
     arrivals = metrics.arrivals_over_time()
@@ -55,7 +57,9 @@ def main() -> None:
         OrionPolicy(profiles),
         GrandSLAmPolicy(profiles),
     ):
-        m = ServerlessSimulator(app, trace, p, seed=3).run()
+        rt = Runtime()
+        rt.add_app(app, trace, p, seed=3)
+        m = rt.run()[app.name]
         print(f"{p.name:<12} ${m.total_cost():>8.4f} {m.violation_ratio():>10.1%}")
 
 

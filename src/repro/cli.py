@@ -339,7 +339,7 @@ def cmd_report(args) -> int:
     if args.app is None:
         print("error: app is required unless --from-trace is given")
         return 2
-    from repro.simulator import ServerlessSimulator
+    from repro.simulator import Deployment, MultiAppSimulator
     from repro.workload.analysis import format_summary, summarize
 
     env = build_environment(
@@ -349,9 +349,11 @@ def cmd_report(args) -> int:
         duration=args.duration,
         seed=args.seed,
     )
-    metrics = ServerlessSimulator(
-        env.app, env.trace, env.make_policy(args.policy), seed=args.seed + 3
-    ).run()
+    # A solo run is a one-deployment co-run, seeded like every grid cell.
+    metrics = MultiAppSimulator(
+        [Deployment(env.app, env.trace, env.make_policy(args.policy))],
+        seed=args.seed + 3,
+    ).run()[env.app.name]
     if args.json:
         print(json.dumps(_json_safe(metrics.summary()), indent=2))
         return 0
@@ -380,7 +382,7 @@ def _summaries_match(a: dict, b: dict) -> bool:
 
 
 def cmd_trace(args) -> int:
-    from repro.simulator import ServerlessSimulator
+    from repro.simulator import Deployment, MultiAppSimulator
     from repro.telemetry import (
         TraceRecorder,
         aggregate,
@@ -399,16 +401,14 @@ def cmd_trace(args) -> int:
         seed=args.seed,
     )
     recorder = TraceRecorder()
-    metrics = ServerlessSimulator(
-        env.app,
-        env.trace,
-        env.make_policy(args.policy),
+    metrics = MultiAppSimulator(
+        [Deployment(env.app, env.trace, env.make_policy(args.policy))],
         seed=args.seed + 3,
         recorder=recorder,
         init_failure_rate=args.init_failure_rate,
         faults=_load_faults(args),
         overload=_load_overload(args),
-    ).run()
+    ).run()[env.app.name]
 
     # Every emitted event must satisfy the published schema ...
     bad = 0

@@ -17,10 +17,10 @@ Determinism contract (the replay-parity invariants):
 - **Stamps are strictly after the current simulated instant**, so an
   injection never sorts before an event that already fired.
 - **Arrival sequence slots are reserved up front** (a fixed per-gateway
-  ``capacity``, claimed in :meth:`LiveGateway._arrival_capacity` before
-  the window-tick block), so equal-time events keep the offline
-  tie-breaking classes: arrivals < window ticks < dynamic events, per
-  gateway in registration order.
+  :data:`DEFAULT_CAPACITY`, claimed in
+  :meth:`LiveGateway._arrival_capacity` before the window-tick block),
+  so equal-time events keep the offline tie-breaking classes: arrivals <
+  window ticks < dynamic events, per gateway in registration order.
 - **The serve phase never advances past the horizon**; :meth:`SimDriver
   .finish` then replays ``Runtime.run``'s exact tail (``run_until`` to
   the horizon, the bounded drain loop, per-gateway finalization).
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.experiments.parallel import MultiAppCellSpec, _environment
-from repro.simulator.gateway import Gateway
+from repro.simulator.gateway import WINDOW, Gateway
 from repro.simulator.runtime import Runtime, derive_app_seed
 from repro.workload.trace import Trace
 
@@ -109,33 +109,21 @@ class LiveGateway(Gateway):
         *,
         runtime: Runtime,
         horizon: float,
-        capacity: int = DEFAULT_CAPACITY,
-        window: float = 1.0,
         seed: int = 0,
-        noisy: bool = True,
-        init_failure_rate: float = 0.0,
-        retention: str = "full",
     ) -> None:
         if horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {horizon}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         super().__init__(
             app,
             Trace(np.empty(0), duration=float(horizon)),
             policy,
             runtime=runtime,
-            window=window,
             seed=seed,
-            noisy=noisy,
-            init_failure_rate=init_failure_rate,
-            retention=retention,
         )
-        self._capacity = int(capacity)
         self._injected = 0
 
     def _arrival_capacity(self) -> int:
-        return self._capacity
+        return DEFAULT_CAPACITY
 
     def _schedule_arrival(self, index: int) -> None:
         # ``setup`` streams the first trace arrival whenever capacity is
@@ -154,10 +142,10 @@ class LiveGateway(Gateway):
         before the horizon.  The arrival fires through the ordinary
         ``_handle_arrival`` path on the next reserved sequence slot.
         """
-        if self._injected >= self._capacity:
+        if self._injected >= DEFAULT_CAPACITY:
             raise RuntimeError(
                 f"live gateway {self.app.name!r} exhausted its arrival "
-                f"capacity of {self._capacity}"
+                f"capacity of {DEFAULT_CAPACITY}"
             )
         if t <= self.events.now:
             raise ValueError(
@@ -195,10 +183,7 @@ class SimDriver:
         cell: MultiAppCellSpec,
         *,
         horizon: float,
-        capacity: int = DEFAULT_CAPACITY,
-        window: float = 1.0,
         drain_timeout: float = 300.0,
-        noisy: bool = True,
     ) -> None:
         if cell.faults is not None:
             raise ValueError(
@@ -218,10 +203,11 @@ class SimDriver:
             raise ValueError(f"duplicate application names: {names}")
         self.cell = cell
         self.horizon = float(horizon)
-        self.window = float(window)
-        self.capacity = int(capacity)
         self.runtime = Runtime(
-            drain_timeout=drain_timeout, overload=cell.overload
+            drain_timeout=drain_timeout,
+            overload=cell.overload,
+            init_failure_rate=cell.init_failure_rate,
+            retention=cell.retention,
         )
         self.gateways: dict[str, LiveGateway] = {}
         for spec in cell.envs:
@@ -231,12 +217,7 @@ class SimDriver:
                 env.make_policy(cell.policy),
                 runtime=self.runtime,
                 horizon=self.horizon,
-                capacity=capacity,
-                window=window,
                 seed=derive_app_seed(cell.sim_seed, env.app.name),
-                noisy=noisy,
-                init_failure_rate=cell.init_failure_rate,
-                retention=cell.retention,
             )
             gateway._on_done = self._handle_done
             self.runtime.gateways.append(gateway)
@@ -462,9 +443,9 @@ class SimDriver:
                 cell.overload.to_dict() if cell.overload is not None else None
             ),
             "horizon": self.horizon,
-            "window": self.window,
+            "window": WINDOW,
             "drain_timeout": self.runtime.drain_timeout,
-            "capacity": self.capacity,
+            "capacity": DEFAULT_CAPACITY,
             "pacing": pacing,
             "time_scale": time_scale,
         }

@@ -28,6 +28,7 @@ from repro.experiments.parallel import (
 )
 from repro.overload.spec import OverloadSpec
 from repro.serving.requestlog import ParsedLog, read_request_log
+from repro.simulator.gateway import WINDOW
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.multiapp import Deployment, MultiAppSimulator
 from repro.workload.trace import Trace
@@ -41,12 +42,20 @@ def cell_from_header(header: dict[str, Any]) -> MultiAppCellSpec:
     Older logs name their per-app seed rule (``"seeding": "name"``); the
     name-derived rule is the only one a session can run under, so any
     other value is rejected rather than silently replayed differently.
+    The control window is fixed (:data:`~repro.simulator.gateway.WINDOW`)
+    for the same reason.
     """
     rule = header.get("seeding", "name")
     if rule != "name":
         raise ValueError(
             f"request log uses unsupported per-app seed rule {rule!r}; "
             "only name-derived seeds (\"name\") can be replayed"
+        )
+    window = header.get("window", WINDOW)
+    if window != WINDOW:
+        raise ValueError(
+            f"request log uses control window {window!r}; "
+            f"sessions run on a fixed {WINDOW} s window"
         )
     overload = header.get("overload")
     return MultiAppCellSpec(
@@ -88,7 +97,6 @@ def replay_request_log(path: str | Path) -> ReplayResult:
         )
     sim = MultiAppSimulator(
         deployments,
-        window=parsed.header.get("window", 1.0),
         drain_timeout=parsed.header.get("drain_timeout", 300.0),
         seed=cell.sim_seed,
         init_failure_rate=cell.init_failure_rate,

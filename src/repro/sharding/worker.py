@@ -64,8 +64,7 @@ class ShardTask:
 
 def _run_unit(task: ShardTask, unit: ShardUnit) -> UnitSnapshot:
     """Simulate one unit as its own runtime; snapshot the sealed metrics."""
-    from repro.simulator import ServerlessSimulator
-    from repro.simulator.runtime import derive_slice_seed
+    from repro.simulator.runtime import Runtime, derive_slice_seed
 
     env = _environment(task.env_for(unit.app))
     if unit.n_slices == 1:
@@ -88,23 +87,20 @@ def _run_unit(task: ShardTask, unit: ShardUnit) -> UnitSnapshot:
     # is offline preparation, not simulation.
     policy = env.make_policy(cell.policy)
     wall_start = time.perf_counter()
-    sim = ServerlessSimulator(
-        env.app,
-        trace,
-        policy,
-        seed=seed,
-        init_failure_rate=cell.init_failure_rate,
+    runtime = Runtime(
         faults=cell.faults,
         overload=cell.overload,
+        init_failure_rate=cell.init_failure_rate,
         retention="sketch",
     )
-    metrics = sim.run()
+    runtime.add_app(env.app, trace, policy, seed=seed)
+    metrics = runtime.run()[env.app.name]
     wall = time.perf_counter() - wall_start
     return UnitSnapshot.from_metrics(
         metrics,
         slice_index=unit.slice_index,
         n_slices=unit.n_slices,
-        events_processed=sim.events.processed,
+        events_processed=runtime.events.processed,
         wall_clock=wall,
     )
 

@@ -26,7 +26,6 @@ from repro.simulator.container import Instance, InstanceState
 from repro.simulator.events import EventQueue, TimerHandle
 from repro.simulator.gateway import Gateway, SimulationContext
 from repro.simulator.runtime import Deployment, Runtime, derive_app_seed
-from repro.simulator.engine import ServerlessSimulator
 from repro.simulator.invocation import FunctionDirective, Invocation, StageRecord
 from repro.simulator.metrics import InstanceUsage, RunMetrics
 from repro.simulator.multiapp import MultiAppSimulator
@@ -50,7 +49,6 @@ __all__ = [
     "Gateway",
     "Runtime",
     "derive_app_seed",
-    "ServerlessSimulator",
     "SimulationContext",
     "Deployment",
     "MultiAppSimulator",

@@ -111,6 +111,12 @@ _GENUINE_EXPIRY = frozenset(
     {"keep-alive-expired", "keep-alive-sweep", "scale-in", "stale-config"}
 )
 
+#: Control-window length in seconds (the paper's 1 s counting window).
+#: Predictors train on per-window counts of this length
+#: (``Trace.counts_per_window(1.0)`` in ``build_environment``), so no other
+#: value is consistent with the policies.
+WINDOW = 1.0
+
 
 class SimulationContext:
     """The policy's window into its application's running gateway."""
@@ -131,7 +137,7 @@ class SimulationContext:
     @property
     def window(self) -> float:
         """Control-window length in seconds (1 s in the paper)."""
-        return self._gw.window
+        return WINDOW
 
     def directive(self, function: str) -> FunctionDirective:
         """Current standing directive for ``function``."""
@@ -221,19 +227,10 @@ class Gateway:
         policy: "Policy",
         *,
         runtime: "Runtime",
-        window: float = 1.0,
         seed: int = 0,
         noisy: bool = True,
-        init_failure_rate: float = 0.0,
         gpu_contention: float = 0.0,
-        retention: str = "full",
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        if not 0.0 <= init_failure_rate < 1.0:
-            raise ValueError(
-                f"init_failure_rate must be in [0, 1), got {init_failure_rate}"
-            )
         if gpu_contention < 0.0:
             raise ValueError(
                 f"gpu_contention must be >= 0, got {gpu_contention}"
@@ -247,9 +244,10 @@ class Gateway:
         # Telemetry: `None` under the NullRecorder so every emission point
         # is a single attribute check and no event object is built.
         self._rec = runtime.recorder if runtime.recorder.enabled else None
-        self.window = float(window)
         self.seed = seed
-        self.init_failure_rate = float(init_failure_rate)
+        # Run-wide setting, copied from the runtime so the hot path reads
+        # its own attribute.
+        self.init_failure_rate = runtime.init_failure_rate
         self.gpu_contention = float(gpu_contention)
         root = ensure_rng(seed)
         self._fault_rng = np.random.default_rng(int(root.integers(2**32)))
@@ -311,9 +309,12 @@ class Gateway:
         # "sketch" folds completions into streaming accumulators so memory
         # stays O(1) in the arrival count.  `_sketch` is the hot-path bool.
         self.metrics = RunMetrics(
-            app=app.name, policy=policy.name, sla=app.sla, retention=retention
+            app=app.name,
+            policy=policy.name,
+            sla=app.sla,
+            retention=runtime.retention,
         )
-        self._sketch = retention == "sketch"
+        self._sketch = runtime.retention == "sketch"
         self.directives: dict[str, FunctionDirective] = {}
         self.pools: dict[str, InstancePool] = {
             f: InstancePool() for f in app.function_names
@@ -361,7 +362,7 @@ class Gateway:
                     app=self.app.name,
                     policy=self.policy.name,
                     sla=self.app.sla,
-                    window=self.window,
+                    window=WINDOW,
                     functions=tuple(self.app.function_names),
                 )
             )
@@ -373,7 +374,7 @@ class Gateway:
                 )
         n_arrivals = self._arrival_capacity()
         self._arrival_seq_base = self.events.reserve(n_arrivals)
-        self._n_windows = int(math.ceil(self.trace.duration / self.window))
+        self._n_windows = int(math.ceil(self.trace.duration / WINDOW))
         self._tick_seq_base = self.events.reserve(self._n_windows)
         if n_arrivals:
             self._schedule_arrival(0)
@@ -388,11 +389,6 @@ class Gateway:
             self._crowd_seq_base = self.events.reserve(len(self._crowd_times))
             if self._crowd_times:
                 self._schedule_crowd(0)
-
-    def finalize(self) -> RunMetrics:
-        """Terminate remaining instances and seal the metrics."""
-        self._finalize()
-        return self.metrics
 
     def _arrival_capacity(self) -> int:
         """Arrival-sequence slots to reserve during :meth:`setup`.
@@ -871,10 +867,6 @@ class Gateway:
         for fn in self.app.function_names:
             if self.queues[fn]:
                 self._dispatch(fn)
-
-    def retry_pending_launches(self) -> None:
-        """Re-attempt queued launches (capacity may have been restored)."""
-        self._retry_pending_launches()
 
     def _execution_failed(
         self, inst: Instance, items: list[Invocation]
@@ -1399,7 +1391,7 @@ class Gateway:
                 )
             )
         self.pools[inst.function].remove(inst, prev_state)
-        self._retry_pending_launches()
+        self.retry_pending_launches()
 
     def _pending_count(
         self, fn: str, config: HardwareConfig | None
@@ -1408,7 +1400,8 @@ class Gateway:
         pending = self.pending_launches[fn]
         return len(pending) if config is None else pending.count(config)
 
-    def _retry_pending_launches(self) -> None:
+    def retry_pending_launches(self) -> None:
+        """Re-attempt queued launches (capacity may have been restored)."""
         if self._shutting_down:
             return
         for fn, pending in self.pending_launches.items():
@@ -1486,7 +1479,7 @@ class Gateway:
 
     def _schedule_tick(self, k: int) -> None:
         self.events.schedule(
-            k * self.window,
+            k * WINDOW,
             self._make_window_tick(k),
             seq=self._tick_seq_base + k - 1,
         )
@@ -1565,7 +1558,8 @@ class Gateway:
                         live_n -= 1
 
     # ------------------------------------------------------------- teardown
-    def _finalize(self) -> None:
+    def finalize(self) -> RunMetrics:
+        """Terminate remaining instances and seal the metrics."""
         self._shutting_down = True
         now = self.events.now
         # Deadline timers of invocations still open at the horizon would
@@ -1595,3 +1589,4 @@ class Gateway:
                     ),
                 )
             )
+        return self.metrics

@@ -296,7 +296,7 @@ class RunMetrics:
     def seal(self, *, duration: float, unfinished: int) -> None:
         """Seal the run: record the horizon and the still-open invocations.
 
-        Extracted from ``Gateway._finalize`` so every finalization path —
+        Extracted from ``Gateway.finalize`` so every finalization path —
         live gateways, trace reconstruction, shard workers — closes a
         metrics object the same way.  Under ``full`` retention the
         unfinished records are dropped from the completed list (they are

@@ -9,12 +9,14 @@ one :class:`~repro.simulator.gateway.Gateway` per deployment, so capacity
 pressure from one application back-pressures the others exactly as on the
 real testbed.
 
-Each tenant's seed derives from the root seed and its application name
-(:func:`~repro.simulator.runtime.derive_app_seed`), so results are
-invariant under deployment reordering.  Callers that need another seed
-per tenant add the gateways to a :class:`~repro.simulator.runtime.Runtime`
+This is the one experiment facade: a solo run is a one-deployment
+co-run.  Each tenant's seed derives from the root seed and its application
+name (:func:`~repro.simulator.runtime.derive_app_seed`), so results are
+invariant under deployment reordering.  Callers that need a raw seed per
+tenant (tests pinning historical values, the shard plane's per-slice
+seeds) add the gateways to a :class:`~repro.simulator.runtime.Runtime`
 themselves (:meth:`~repro.simulator.runtime.Runtime.add_app` takes the
-seed directly).
+seed as given).
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ class MultiAppSimulator:
         deployments: list[Deployment],
         *,
         cluster: Cluster | None = None,
-        window: float = 1.0,
         drain_timeout: float = 300.0,
         seed: int = 0,
-        noisy: bool = True,
         recorder: "Recorder | None" = None,
         init_failure_rate: float = 0.0,
         faults: "FaultPlan | None" = None,
@@ -60,17 +60,12 @@ class MultiAppSimulator:
             recorder=recorder,
             faults=faults,
             overload=overload,
+            init_failure_rate=init_failure_rate,
+            retention=retention,
         )
         self.gateways = [
             self.runtime.add_app(
-                d.app,
-                d.trace,
-                d.policy,
-                window=window,
-                seed=derive_app_seed(seed, d.app.name),
-                noisy=noisy,
-                init_failure_rate=init_failure_rate,
-                retention=retention,
+                d.app, d.trace, d.policy, seed=derive_app_seed(seed, d.app.name)
             )
             for d in deployments
         ]

@@ -10,10 +10,13 @@ runtime with one gateway; the paper's §VII-A co-run is the same runtime
 with three.  Capacity pressure from one tenant back-pressures the others
 through the shared cluster exactly as on the real 8-machine testbed.
 
-:meth:`Runtime.add_app` takes each gateway's seed as given; every
-multi-tenant entry point derives it from the root seed and the
-application name (:func:`derive_app_seed`), so adding or permuting
-tenants never perturbs another tenant's noise streams.
+The runtime is the simulator's direct API: :meth:`Runtime.add_app` takes
+each gateway's seed as given.  The experiment facade
+(:class:`~repro.simulator.multiapp.MultiAppSimulator`) and every grid cell
+derive it from the root seed and the application name
+(:func:`derive_app_seed`), so adding or permuting tenants never perturbs
+another tenant's noise streams.  Run-wide settings (faults, overload,
+initialization failures, record retention) are declared once, here.
 
 The runtime also owns the telemetry plane's sink: one
 :class:`~repro.telemetry.recorder.Recorder` shared by every gateway (the
@@ -99,16 +102,20 @@ class Runtime:
         self,
         *,
         cluster: Cluster | None = None,
-        events: EventQueue | None = None,
         drain_timeout: float = 300.0,
         recorder: "Recorder | None" = None,
         faults: "FaultPlan | None" = None,
         overload: "OverloadSpec | None" = None,
-        residency: ModelResidencyCache | None = None,
+        init_failure_rate: float = 0.0,
+        retention: str = "full",
     ) -> None:
         if drain_timeout < 0:
             raise ValueError(f"drain_timeout must be >= 0, got {drain_timeout}")
-        self.events = events if events is not None else EventQueue()
+        if not 0.0 <= init_failure_rate < 1.0:
+            raise ValueError(
+                f"init_failure_rate must be in [0, 1), got {init_failure_rate}"
+            )
+        self.events = EventQueue()
         self.cluster = cluster if cluster is not None else Cluster.build()
         self.drain_timeout = float(drain_timeout)
         self.recorder: "Recorder" = (
@@ -119,13 +126,16 @@ class Runtime:
         # circuit breakers, brownout; see repro.overload).  Shared by every
         # gateway, though each keeps its own per-app token bucket.
         self.overload = overload
+        # Per-warmup initialization failure probability and record
+        # retention ("full" or "sketch"): run-wide, so every gateway
+        # copies them at construction.
+        self.init_failure_rate = float(init_failure_rate)
+        self.retention = retention
         # Host-memory model residency (GPU swap-in): shared across tenants
         # like the cluster itself — one app's working set can evict
         # another's, which is exactly the co-run contention of §VII-A.
         # Idle unless a swap-capable profile is deployed.
-        self.residency = (
-            residency if residency is not None else ModelResidencyCache()
-        )
+        self.residency = ModelResidencyCache()
         self.gateways: list[Gateway] = []
         # Run-scoped invocation ids: every runtime numbers its invocations
         # from 0, so traces are stable whether a process ran one simulation
@@ -155,12 +165,9 @@ class Runtime:
         trace: Trace,
         policy: "Policy",
         *,
-        window: float = 1.0,
         seed: int = 0,
         noisy: bool = True,
-        init_failure_rate: float = 0.0,
         gpu_contention: float = 0.0,
-        retention: str = "full",
     ) -> Gateway:
         """Register one application on this runtime; returns its gateway."""
         if any(gw.app.name == app.name for gw in self.gateways):
@@ -173,12 +180,9 @@ class Runtime:
             trace,
             policy,
             runtime=self,
-            window=window,
             seed=seed,
             noisy=noisy,
-            init_failure_rate=init_failure_rate,
             gpu_contention=gpu_contention,
-            retention=retention,
         )
         self.gateways.append(gateway)
         return gateway

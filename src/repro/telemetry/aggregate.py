@@ -173,7 +173,7 @@ def aggregate(events: Iterable[SimEvent], app: str | None = None) -> RunMetrics:
             metrics.duration = event.duration
             metrics.unfinished = event.unfinished
 
-    # Mirror Gateway._finalize: latency stats cover finished invocations
+    # Mirror Gateway.finalize: latency stats cover finished invocations
     # only; in-flight ones survive solely as the `unfinished` counter.
     metrics.invocations = [inv for inv in metrics.invocations if inv.finished]
     return metrics

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _json_safe, main
 from repro.experiments.parallel import (
     EnvSpec,
     MultiAppCellSpec,
@@ -70,6 +70,23 @@ class TestReportJson:
         assert main(["report", "image-query", "--json", *ARGS]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert {"total_cost", "p50_latency", "p99_latency"} <= set(summary)
+
+    def test_report_seeds_like_a_grid_cell(self, capsys):
+        """`report` runs the same one-env cell `compare` would: the tenant
+        seed derives from ``--seed + 3`` and the app name."""
+        argv = ["report", "image-query", "--json", "--policy", "grandslam",
+                "--duration", "60", "--seed", "0"]
+        assert main(argv) == 0
+        reported = json.loads(capsys.readouterr().out)
+        cell = run_cell(
+            MultiAppCellSpec(
+                envs=(EnvSpec(app="image-query", duration=60.0, seed=0),),
+                policy="grandslam",
+                sim_seed=3,
+            )
+        )
+        expected = json.loads(json.dumps(_json_safe(cell.summary["image-query"])))
+        assert reported == expected
 
 
 class TestScenarioJson:

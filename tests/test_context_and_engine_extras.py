@@ -8,7 +8,7 @@ from repro.hardware import ConfigurationSpace, HardwareConfig
 from repro.policies import AlwaysOnPolicy
 from repro.policies.base import Policy
 from repro.profiler import oracle_profile
-from repro.simulator import FunctionDirective, ServerlessSimulator
+from repro.simulator import FunctionDirective, Runtime
 from repro.workload import Trace
 
 SPACE = ConfigurationSpace.default()
@@ -58,7 +58,9 @@ class TestSimulationContext:
         app = linear_pipeline(1, models=("IR",))
         trace = Trace([5.0, 15.0], duration=30.0)
         policy = ProbePolicy()
-        ServerlessSimulator(app, trace, policy, seed=0).run()
+        rt = Runtime()
+        rt.add_app(app, trace, policy, seed=0)
+        rt.run()
         return policy.observations
 
     def test_live_counts_respect_config_filter(self, probe_run):
@@ -89,9 +91,9 @@ class TestSimulationContext:
                 )
 
         with pytest.raises(KeyError):
-            ServerlessSimulator(
-                app, Trace([1.0], duration=5.0), Bad(), seed=0
-            ).run()
+            rt = Runtime()
+            rt.add_app(app, Trace([1.0], duration=5.0), Bad(), seed=0)
+            rt.run()
 
     def test_schedule_warmup_rejects_unknown_function(self):
         app = linear_pipeline(1, models=("IR",))
@@ -107,9 +109,9 @@ class TestSimulationContext:
                 ctx.schedule_warmup("ghost", 0.0)
 
         with pytest.raises(KeyError):
-            ServerlessSimulator(
-                app, Trace([1.0], duration=5.0), Bad(), seed=0
-            ).run()
+            rt = Runtime()
+            rt.add_app(app, Trace([1.0], duration=5.0), Bad(), seed=0)
+            rt.run()
 
     def test_schedule_warmup_rejects_zero_count(self):
         app = linear_pipeline(1, models=("IR",))
@@ -120,9 +122,9 @@ class TestSimulationContext:
                 ctx.schedule_warmup(app.function_names[0], 0.0, count=0)
 
         with pytest.raises(ValueError):
-            ServerlessSimulator(
-                app, Trace([1.0], duration=5.0), Bad(), seed=0
-            ).run()
+            rt = Runtime()
+            rt.add_app(app, Trace([1.0], duration=5.0), Bad(), seed=0)
+            rt.run()
 
 
 class TestOptimizerEngineExtras:

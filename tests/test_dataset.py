@@ -104,10 +104,12 @@ class TestConversion:
         """End-to-end: dataset pipeline output feeds the platform."""
         from repro.dag import linear_pipeline
         from repro.policies import AlwaysOnPolicy
-        from repro.simulator import ServerlessSimulator
+        from repro.simulator import Runtime
 
         path, _ = azure_csv
         trace = load_scaled_trace(path, "quietfn").slice(0.0, 600.0)
         app = linear_pipeline(1, models=("IR",))
-        m = ServerlessSimulator(app, trace, AlwaysOnPolicy(), seed=0).run()
+        rt = Runtime()
+        rt.add_app(app, trace, AlwaysOnPolicy(), seed=0)
+        m = rt.run()[app.name]
         assert len(m.invocations) == len(trace)

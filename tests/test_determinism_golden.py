@@ -16,7 +16,7 @@ import pytest
 from repro.experiments import build_environment
 from repro.predictor.interarrival import InterArrivalPredictor, gaps_from_counts
 from repro.predictor.invocation import InvocationPredictor
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.telemetry.audit import format_decision_audit
 from repro.telemetry.recorder import TraceRecorder, write_jsonl
 
@@ -83,9 +83,9 @@ def environment():
 @pytest.mark.parametrize("policy", sorted(GOLDEN))
 def test_summary_bit_identical_to_pre_refactor_engine(environment, policy):
     env = environment
-    metrics = ServerlessSimulator(
-        env.app, env.trace, env.make_policy(policy), seed=3
-    ).run()
+    rt = Runtime()
+    rt.add_app(env.app, env.trace, env.make_policy(policy), seed=3)
+    metrics = rt.run()[env.app.name]
     summary = metrics.summary()
     assert summary == GOLDEN[policy]
 
@@ -95,9 +95,9 @@ def test_back_to_back_runs_identical(environment):
     env = environment
 
     def one_run():
-        return ServerlessSimulator(
-            env.app, env.trace, env.make_policy("smiless"), seed=3
-        ).run().summary()
+        rt = Runtime()
+        rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+        return rt.run()[env.app.name].summary()
 
     assert one_run() == one_run()
 
@@ -107,9 +107,9 @@ def test_smiless_amber_summary_bit_identical():
     env = build_environment(
         "amber-alert", preset="steady", sla=2.0, duration=150.0, seed=0
     )
-    summary = ServerlessSimulator(
-        env.app, env.trace, env.make_policy("smiless"), seed=3
-    ).run().summary()
+    rt = Runtime()
+    rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+    summary = rt.run()[env.app.name].summary()
     assert summary == SMILESS_AMBER_GOLDEN
 
 
@@ -123,9 +123,9 @@ def test_smiless_trace_and_audit_digests_bit_identical(environment, tmp_path):
     """
     env = environment
     rec = TraceRecorder()
-    ServerlessSimulator(
-        env.app, env.trace, env.make_policy("smiless"), seed=3, recorder=rec
-    ).run()
+    rt = Runtime(recorder=rec)
+    rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+    rt.run()
     path = tmp_path / "trace.jsonl"
     write_jsonl(rec.events, path)
     trace_digest = hashlib.blake2b(

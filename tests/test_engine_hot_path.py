@@ -6,7 +6,7 @@ import numpy as np
 from repro.dag import linear_pipeline
 from repro.hardware import HardwareConfig
 from repro.policies import AlwaysOnPolicy
-from repro.simulator import Cluster, ServerlessSimulator
+from repro.simulator import Cluster, Runtime
 from repro.workload import Trace
 
 
@@ -17,53 +17,53 @@ class TestRetryPendingLaunches:
         functions' smaller pending launches."""
         cluster = Cluster.build(n_machines=1, cores_per_machine=8)
         app = linear_pipeline(2, models=("IR", "DB"))
-        sim = ServerlessSimulator(
+        rt = Runtime(cluster=cluster)
+        gw = rt.add_app(
             app,
             Trace([50.0], duration=60.0),
             AlwaysOnPolicy(HardwareConfig.cpu(2)),
-            cluster=cluster,
             seed=0,
         )
-        sim.setup()
+        rt.setup()
         blocked_fn, small_fn = app.function_names
 
         hold_big = cluster.try_allocate(HardwareConfig.cpu(4))
         hold_small = cluster.try_allocate(HardwareConfig.cpu(2))
         assert hold_big is not None and hold_small is not None
 
-        sim.gateway.pending_launches[blocked_fn].append(HardwareConfig.cpu(8))
-        sim.gateway.pending_launches[small_fn].append(HardwareConfig.cpu(2))
+        gw.pending_launches[blocked_fn].append(HardwareConfig.cpu(8))
+        gw.pending_launches[small_fn].append(HardwareConfig.cpu(2))
 
         # Free 2 cores: the first function's cpu(8) launch still cannot
         # fit, but the second function's cpu(2) launch now can.
         cluster.release(hold_small)
-        sim.gateway._retry_pending_launches()
+        gw.retry_pending_launches()
 
-        assert list(sim.gateway.pending_launches[blocked_fn]) == [HardwareConfig.cpu(8)]
-        assert not sim.gateway.pending_launches[small_fn]
-        assert sim.gateway.pools[small_fn].initializing_count() == 1
+        assert list(gw.pending_launches[blocked_fn]) == [HardwareConfig.cpu(8)]
+        assert not gw.pending_launches[small_fn]
+        assert gw.pools[small_fn].initializing_count() == 1
 
     def test_multiple_pending_same_function_drain_in_order(self):
         cluster = Cluster.build(n_machines=1, cores_per_machine=8)
         app = linear_pipeline(1, models=("IR",))
-        sim = ServerlessSimulator(
+        rt = Runtime(cluster=cluster)
+        gw = rt.add_app(
             app,
             Trace([50.0], duration=60.0),
             AlwaysOnPolicy(HardwareConfig.cpu(2)),
-            cluster=cluster,
             seed=0,
         )
-        sim.setup()
+        rt.setup()
         (fn,) = app.function_names
         hold = cluster.try_allocate(HardwareConfig.cpu(8))
-        sim.gateway.pending_launches[fn].extend(
+        gw.pending_launches[fn].extend(
             [HardwareConfig.cpu(2), HardwareConfig.cpu(2), HardwareConfig.cpu(8)]
         )
         cluster.release(hold)
-        sim.gateway._retry_pending_launches()
+        gw.retry_pending_launches()
         # Both cpu(2) launches fit (4 of 8 cores); the cpu(8) head remains.
-        assert list(sim.gateway.pending_launches[fn]) == [HardwareConfig.cpu(8)]
-        assert sim.gateway.pools[fn].initializing_count() == 2
+        assert list(gw.pending_launches[fn]) == [HardwareConfig.cpu(8)]
+        assert gw.pools[fn].initializing_count() == 2
 
 
 class TestHeapBoundedness:
@@ -73,18 +73,17 @@ class TestHeapBoundedness:
         times = (np.arange(10_000) * 0.05 + 0.01).tolist()
         trace = Trace(times, duration=510.0)
         app = linear_pipeline(1, models=("IR",))
-        sim = ServerlessSimulator(
-            app, trace, AlwaysOnPolicy(HardwareConfig.cpu(16)), seed=0
-        )
-        sim.setup()
-        assert sim.events.heap_size < 10, "arrivals must not be pre-pushed"
-        max_heap = sim.events.heap_size
-        while sim.events.step():
-            max_heap = max(max_heap, sim.events.heap_size)
-        metrics = sim.finalize()
+        rt = Runtime()
+        gw = rt.add_app(app, trace, AlwaysOnPolicy(HardwareConfig.cpu(16)), seed=0)
+        rt.setup()
+        assert rt.events.heap_size < 10, "arrivals must not be pre-pushed"
+        max_heap = rt.events.heap_size
+        while rt.events.step():
+            max_heap = max(max_heap, rt.events.heap_size)
+        metrics = gw.finalize()
         assert metrics.unfinished == 0
         assert len(metrics.invocations) == 10_000
         # Far below the 10k pre-pushed arrivals the old engine held; the
         # bound covers live instances' events plus the two stream heads.
         assert max_heap < 500
-        assert sim.events.processed >= 20_000
+        assert rt.events.processed >= 20_000

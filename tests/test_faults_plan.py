@@ -235,7 +235,7 @@ class TestOverloadComposition:
         """
         from repro.dag import linear_pipeline
         from repro.policies import OnDemandPolicy
-        from repro.simulator import ServerlessSimulator
+        from repro.simulator import Runtime
         from repro.telemetry import TraceRecorder
         from repro.telemetry.events import StageRetried
         from repro.workload import Trace
@@ -249,9 +249,9 @@ class TestOverloadComposition:
             ),
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app, trace, OnDemandPolicy(), seed=0, faults=plan, recorder=rec
-        ).run()
+        rt = Runtime(faults=plan, recorder=rec)
+        rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        m = rt.run()[app.name]
         delays = [e.delay for e in rec if isinstance(e, StageRetried)]
         assert delays == [0.5, 1.0, 2.0, 4.0, 4.0, 4.0]
         assert m.timed_out == 1  # budget exhausted after the capped tail

@@ -22,7 +22,7 @@ from repro.dag import linear_pipeline, random_dag
 from repro.hardware import HardwareConfig
 from repro.policies import AlwaysOnPolicy, OnDemandPolicy
 from repro.policies.base import Policy
-from repro.simulator import FunctionDirective, ServerlessSimulator
+from repro.simulator import FunctionDirective, Runtime
 from repro.workload import Trace, poisson_process
 
 
@@ -52,10 +52,9 @@ class RandomDirectivePolicy(Policy):
 def run_random_scenario(n_functions, seed, rate=0.4, duration=80.0):
     app = random_dag(n_functions, rng=seed)
     trace = poisson_process(rate, duration, rng=seed + 1)
-    sim = ServerlessSimulator(
-        app, trace, RandomDirectivePolicy(seed + 2), seed=seed + 3
-    )
-    return app, trace, sim, sim.run()
+    rt = Runtime()
+    rt.add_app(app, trace, RandomDirectivePolicy(seed + 2), seed=seed + 3)
+    return app, trace, rt, rt.run()[app.name]
 
 
 class TestEngineInvariants:
@@ -88,9 +87,9 @@ class TestEngineInvariants:
     @given(n=st.integers(1, 6), seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
     def test_cluster_capacity_restored(self, n, seed):
-        _, _, sim, _ = run_random_scenario(n, seed)
-        assert sim.cluster.cores_used() == 0
-        assert sim.cluster.gpu_slots_used() == 0
+        _, _, rt, _ = run_random_scenario(n, seed)
+        assert rt.cluster.cores_used() == 0
+        assert rt.cluster.gpu_slots_used() == 0
 
     @given(n=st.integers(1, 5), seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -117,9 +116,9 @@ class TestFailureInjection:
     def test_failed_inits_retried_and_counted(self):
         app = linear_pipeline(1, models=("IR",))
         trace = poisson_process(0.3, 120.0, rng=0)
-        m = ServerlessSimulator(
-            app, trace, OnDemandPolicy(), seed=1, init_failure_rate=0.4
-        ).run()
+        rt = Runtime(init_failure_rate=0.4)
+        rt.add_app(app, trace, OnDemandPolicy(), seed=1)
+        m = rt.run()[app.name]
         assert m.failed_initializations > 0
         # every completed invocation still executed despite the crash-loops
         assert all(inv.finished for inv in m.invocations)
@@ -127,29 +126,27 @@ class TestFailureInjection:
     def test_failure_rate_zero_means_no_failures(self):
         app = linear_pipeline(1, models=("IR",))
         trace = poisson_process(0.3, 60.0, rng=0)
-        m = ServerlessSimulator(app, trace, OnDemandPolicy(), seed=1).run()
+        rt = Runtime()
+        rt.add_app(app, trace, OnDemandPolicy(), seed=1)
+        m = rt.run()[app.name]
         assert m.failed_initializations == 0
 
     def test_failures_raise_cost(self):
         app = linear_pipeline(1, models=("IR",))
         trace = Trace(list(np.arange(5.0, 120.0, 10.0)), duration=120.0)
-        clean = ServerlessSimulator(
-            app, trace, OnDemandPolicy(), seed=2
-        ).run()
-        faulty = ServerlessSimulator(
-            app, trace, OnDemandPolicy(), seed=2, init_failure_rate=0.5
-        ).run()
+        rt = Runtime()
+        rt.add_app(app, trace, OnDemandPolicy(), seed=2)
+        clean = rt.run()[app.name]
+        rt = Runtime(init_failure_rate=0.5)
+        rt.add_app(app, trace, OnDemandPolicy(), seed=2)
+        faulty = rt.run()[app.name]
         assert faulty.failed_initializations > 0
         # crash-looped attempts are billed, so total cost can only rise
         assert faulty.total_cost() > clean.total_cost()
 
     def test_invalid_rate_rejected(self):
-        app = linear_pipeline(1, models=("IR",))
         with pytest.raises(ValueError):
-            ServerlessSimulator(
-                app, Trace([1.0], duration=5.0), OnDemandPolicy(),
-                init_failure_rate=1.0,
-            )
+            Runtime(init_failure_rate=1.0)
 
 
 class TestTheorem51:

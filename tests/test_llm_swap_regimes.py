@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.runners import build_environment
 from repro.hardware.configs import HardwareConfig
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.simulator.cluster import ModelResidencyCache
 from repro.telemetry import TraceRecorder, aggregate, to_dict, validate_event
 from repro.telemetry.events import InstanceSwappedIn, TokenStage
@@ -25,17 +25,16 @@ def llm_run():
         "llm-chat", sla=6.0, duration=120.0, train_duration=900.0
     )
     recorder = TraceRecorder()
-    sim = ServerlessSimulator(
-        env.app, env.trace, env.make_policy("smiless"), seed=3,
-        recorder=recorder,
-    )
-    metrics = sim.run()
+    rt = Runtime(recorder=recorder)
+    rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+    metrics = rt.run()[env.app.name]
     return env, metrics, recorder
 
 
 @pytest.fixture(scope="module")
 def swap_pair():
-    """(swap metrics, baseline metrics, swap recorder) on the same workload."""
+    """(swap metrics, baseline metrics, swap recorder, trace length) on
+    the same workload."""
     results = {}
     recorder = None
     for app in ("image-query-swap", "image-query"):
@@ -43,14 +42,17 @@ def swap_pair():
             app, preset="bursty", sla=1.0, duration=180.0, train_duration=900.0
         )
         rec = TraceRecorder() if app == "image-query-swap" else None
-        sim = ServerlessSimulator(
-            env.app, env.trace, env.make_policy("smiless"), seed=3,
-            recorder=rec,
-        )
-        results[app] = sim.run()
+        rt = Runtime(recorder=rec)
+        rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+        results[app] = rt.run()[env.app.name]
         if rec is not None:
             recorder = rec
-    return results["image-query-swap"], results["image-query"], recorder
+    return (
+        results["image-query-swap"],
+        results["image-query"],
+        recorder,
+        len(env.trace),
+    )
 
 
 # ------------------------------------------------------------------- LLM
@@ -89,7 +91,7 @@ def test_llm_trace_reconstructs_metrics(llm_run):
 
 # ------------------------------------------------------------------ swap
 def test_swap_regime_swaps_and_reduces_cold_starts(swap_pair):
-    swap, base, _ = swap_pair
+    swap, base, _, _ = swap_pair
     assert swap.swap_ins > 0
     cold_starts = swap.initializations - swap.swap_ins
     assert cold_starts < base.initializations
@@ -97,7 +99,7 @@ def test_swap_regime_swaps_and_reduces_cold_starts(swap_pair):
 
 
 def test_swap_events_match_counter_and_reconstruct(swap_pair):
-    swap, _, recorder = swap_pair
+    swap, _, recorder, _ = swap_pair
     events = [e for e in recorder.events if isinstance(e, InstanceSwappedIn)]
     assert len(events) == swap.swap_ins
     for e in events:
@@ -110,11 +112,18 @@ def test_swap_events_match_counter_and_reconstruct(swap_pair):
 
 
 def test_swap_runs_conserve_invocations(swap_pair):
-    swap, base, _ = swap_pair
+    swap, base, _, arrivals = swap_pair
     for m in (swap, base):
-        assert m.n_completed + m.unfinished + m.timed_out == (
-            base.n_completed + base.unfinished + base.timed_out
-        )
+        assert m.n_completed + m.unfinished + m.timed_out == arrivals
+
+
+def test_every_pack_event_is_schema_valid(llm_run, swap_pair):
+    """Every event of both pack regimes, not only the regime-specific
+    kinds, satisfies the published schema."""
+    for recorder in (llm_run[2], swap_pair[2]):
+        assert recorder.events
+        for e in recorder.events:
+            assert validate_event(to_dict(e)) == []
 
 
 # ------------------------------------------------------- residency cache

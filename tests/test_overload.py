@@ -32,8 +32,8 @@ from repro.faults import (
 from repro.hardware import HardwareConfig
 from repro.overload import SHED_POLICIES, OverloadSpec, TokenBucket
 from repro.policies import OnDemandPolicy
-from repro.simulator import ServerlessSimulator
-from repro.telemetry import TraceRecorder, aggregate
+from repro.simulator import Runtime
+from repro.telemetry import TraceRecorder, aggregate, to_dict, validate_event
 from repro.telemetry.events import (
     Arrival,
     FallbackActivated,
@@ -214,16 +214,19 @@ class TestBoundedQueues:
         times = [1.0 + 0.05 * k for k in range(self.N_ARRIVALS)]
         trace = Trace(times, duration=60.0)
         rec = TraceRecorder()
-        m = ServerlessSimulator(
+        rt = Runtime(
+            overload=OverloadSpec(
+                    queue_limit=self.LIMIT, shed_policy=shed_policy
+                ),
+            recorder=rec,
+        )
+        rt.add_app(
             app,
             trace,
             FixedConfigPolicy(HardwareConfig.cpu(4)),
             seed=0,
-            overload=OverloadSpec(
-                queue_limit=self.LIMIT, shed_policy=shed_policy
-            ),
-            recorder=rec,
-        ).run()
+        )
+        m = rt.run()[app.name]
         return trace, m, rec
 
     @pytest.mark.parametrize("shed_policy", SHED_POLICIES)
@@ -277,15 +280,13 @@ class TestAdmissionControl:
             times = [0.5 + 0.1 * k for k in range(10)]
         trace = Trace(times, duration=duration)
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app,
-            trace,
-            OnDemandPolicy(),
-            seed=0,
+        rt = Runtime(
             faults=faults,
             overload=OverloadSpec(admission_rate=1.0, admission_burst=2.0),
             recorder=rec,
-        ).run()
+        )
+        rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        m = rt.run()[app.name]
         return trace, m, rec
 
     def test_rejections_are_pinned_and_never_enter_the_system(self):
@@ -326,15 +327,13 @@ class TestCircuitBreaker:
             ),
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app,
-            trace,
-            OnDemandPolicy(),
-            seed=0,
+        rt = Runtime(
             faults=faults,
             overload=OverloadSpec(breaker_failures=2, breaker_cooldown=5.0),
             recorder=rec,
-        ).run()
+        )
+        rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        m = rt.run()[app.name]
         reasons = [
             e.reason for e in rec if isinstance(e, FallbackActivated)
         ]
@@ -364,15 +363,13 @@ class TestCircuitBreaker:
             resilience=ResilienceSpec(max_retries=50, retry_backoff=0.1),
         )
         rec = TraceRecorder()
-        ServerlessSimulator(
-            app,
-            trace,
-            OnDemandPolicy(),
-            seed=0,
+        rt = Runtime(
             faults=faults,
             overload=OverloadSpec(breaker_failures=1, breaker_cooldown=10.0),
             recorder=rec,
-        ).run()
+        )
+        rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        rt.run()
         opened = [
             e.t
             for e in rec
@@ -396,17 +393,19 @@ class TestBrownout:
         times = [0.1 + 0.01 * k for k in range(40)]
         trace = Trace(times, duration=120.0)
         rec = TraceRecorder()
-        sim = ServerlessSimulator(
-            app,
-            trace,
-            FixedConfigPolicy(HardwareConfig.cpu(4), keep_alive=30.0),
-            seed=0,
+        rt = Runtime(
             overload=OverloadSpec(
                 brownout_queue_delay=1.0, degraded_config="cpu-16"
             ),
             recorder=rec,
         )
-        m = sim.run()
+        gw = rt.add_app(
+            app,
+            trace,
+            FixedConfigPolicy(HardwareConfig.cpu(4), keep_alive=30.0),
+            seed=0,
+        )
+        m = rt.run()[app.name]
         reasons = [
             e.reason for e in rec if isinstance(e, FallbackActivated)
         ]
@@ -425,8 +424,8 @@ class TestBrownout:
         assert len(brownout_changes) == 2
         # Ownership returned to the policy: the standing directive at run
         # end is the policy's own configuration.
-        assert sim.gateway.directives["f0-IR"].config == HardwareConfig.cpu(4)
-        assert sim.gateway._brownout_saved == {}
+        assert gw.directives["f0-IR"].config == HardwareConfig.cpu(4)
+        assert gw._brownout_saved == {}
         assert m.n_completed == len(trace)
         assert_conserved_extended(trace, m)
         assert_overload_reconstructs(m, rec)
@@ -448,14 +447,9 @@ class TestBrownout:
         )
 
         def summary(recorder):
-            return ServerlessSimulator(
-                env.app,
-                env.trace,
-                env.make_policy("smiless"),
-                seed=3,
-                overload=spec,
-                recorder=recorder,
-            ).run().summary()
+            rt = Runtime(overload=spec, recorder=recorder)
+            rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+            return rt.run()[env.app.name].summary()
 
         assert summary(None) == summary(TraceRecorder())
 
@@ -469,14 +463,14 @@ class TestFlashCrowd:
             flash_crowds=(FlashCrowd(rate=2.0, start=10.0, end=12.0),)
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
+        rt = Runtime(faults=faults, recorder=rec)
+        rt.add_app(
             app,
             trace,
             FixedConfigPolicy(HardwareConfig.cpu(4)),
             seed=0,
-            faults=faults,
-            recorder=rec,
-        ).run()
+        )
+        m = rt.run()[app.name]
         # rate * (end - start) = 4 extra arrivals, all through the
         # ordinary front door.
         assert m.injected_arrivals == 4
@@ -486,21 +480,56 @@ class TestFlashCrowd:
         assert_conserved_extended(trace, m)
 
 
+    def test_smiless_absorbs_crowd_by_shedding_and_admission(self):
+        """A flash crowd against bounded queues and admission control:
+        both mechanisms engage, nothing is lost, the queue bound holds,
+        the trace is schema-valid and exact, and observing the run does
+        not change it."""
+        env = build_environment(
+            "image-query", preset="steady", sla=2.0, duration=60.0,
+            train_duration=400.0, seed=0,
+        )
+        faults = FaultPlan(
+            flash_crowds=(FlashCrowd(rate=30.0, start=20.0, end=26.0),),
+        )
+        spec = OverloadSpec(
+            queue_limit=8,
+            shed_policy="deadline-aware",
+            admission_rate=15.0,
+            admission_burst=10.0,
+        )
+
+        def run(recorder):
+            rt = Runtime(faults=faults, overload=spec, recorder=recorder)
+            rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+            return rt.run()[env.app.name]
+
+        rec = TraceRecorder()
+        live = run(rec)
+        assert live.shed > 0, "bounded queues never shed"
+        assert live.rejected > 0, "admission never rejected"
+        assert live.injected_arrivals > 0, "flash crowd injected nothing"
+        assert_conserved_extended(env.trace, live)
+        assert live.peak_queue_depth <= spec.queue_limit
+        for event in rec:
+            assert validate_event(to_dict(event)) == []
+        assert_overload_reconstructs(live, rec)
+        assert run(None).summary() == live.summary(), "traced != untraced"
+
+
 class TestRetryStorm:
     def test_rejected_arrivals_resubmit_up_to_generation_cap(self):
         app = linear_pipeline(1, models=("IR",))
         trace = Trace([1.0, 1.01, 1.02], duration=30.0)
         faults = FaultPlan(retry_storms=(RetryStorm(resubmits=2, delay=1.0),))
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app,
-            trace,
-            OnDemandPolicy(),
-            seed=0,
+        rt = Runtime(
             faults=faults,
             overload=OverloadSpec(admission_rate=0.01, admission_burst=1.0),
             recorder=rec,
-        ).run()
+        )
+        rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        m = rt.run()[app.name]
         # One token at t=1.0: the first arrival is admitted.  The other
         # two are rejected and resubmit twice each (the generation cap),
         # every resubmission rejected again by the starved bucket.
@@ -520,14 +549,12 @@ class TestRetryStorm:
         faults = FaultPlan(
             retry_storms=(RetryStorm(resubmits=5, delay=1.0, start=20.0),)
         )
-        m = ServerlessSimulator(
-            app,
-            trace,
-            OnDemandPolicy(),
-            seed=0,
+        rt = Runtime(
             faults=faults,
             overload=OverloadSpec(admission_rate=0.01, admission_burst=1.0),
-        ).run()
+        )
+        rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        m = rt.run()[app.name]
         # The rejection happens before the storm window opens: no echo.
         assert m.injected_arrivals == 0
         assert m.rejected == 1
@@ -544,14 +571,9 @@ class TestZeroCost:
 
         def run(overload):
             rec = TraceRecorder()
-            m = ServerlessSimulator(
-                env.app,
-                env.trace,
-                env.make_policy("smiless"),
-                seed=3,
-                overload=overload,
-                recorder=rec,
-            ).run()
+            rt = Runtime(overload=overload, recorder=rec)
+            rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+            m = rt.run()[env.app.name]
             return m, rec
 
         base_m, base_rec = run(None)
@@ -587,28 +609,21 @@ class TestNoLeaksAtRunEnd:
             admission_rate=5.0,
             admission_burst=5.0,
         )
-        sim = ServerlessSimulator(
-            env.app,
-            env.trace,
-            env.make_policy(policy),
-            seed=3,
-            faults=faults,
-            overload=overload,
-        )
-        m = sim.run()
+        rt = Runtime(faults=faults, overload=overload)
+        gw = rt.add_app(env.app, env.trace, env.make_policy(policy), seed=3)
+        m = rt.run()[env.app.name]
         # The overload machinery actually engaged.
         assert m.shed + m.rejected > 0
         assert m.timed_out > 0
         assert_conserved_extended(env.trace, m)
         # No leaked deadline timers, no stranded demand charges, and the
         # cluster ends empty.
-        gw = sim.gateway
         assert gw._deadline_timers == {}
         assert all(v == 0 for v in gw.pending_stage_demand.values()), (
             gw.pending_stage_demand
         )
-        assert sim.cluster.cores_used() == 0
-        assert sim.cluster.gpu_slots_used() == 0
+        assert rt.cluster.cores_used() == 0
+        assert rt.cluster.gpu_slots_used() == 0
 
 
 # --------------------------------------------------- report reconstruction
@@ -627,15 +642,9 @@ class TestReportFromTrace:
             admission_burst=10.0,
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            env.app,
-            env.trace,
-            env.make_policy("on-demand"),
-            seed=3,
-            faults=faults,
-            overload=overload,
-            recorder=rec,
-        ).run()
+        rt = Runtime(faults=faults, overload=overload, recorder=rec)
+        rt.add_app(env.app, env.trace, env.make_policy("on-demand"), seed=3)
+        m = rt.run()[env.app.name]
         path = tmp_path / "overload.jsonl"
         rec.write_jsonl(path)
         return m, rec, path

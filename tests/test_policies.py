@@ -24,7 +24,7 @@ from repro.policies import (
     SMIlessPolicy,
 )
 from repro.profiler import OfflineProfiler, oracle_profile
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.workload import AzureLikeWorkload
 
 
@@ -49,7 +49,9 @@ def steady_trace():
 
 
 def simulate(app, trace, policy, seed=3):
-    return ServerlessSimulator(app, trace, policy, seed=seed).run()
+    rt = Runtime()
+    rt.add_app(app, trace, policy, seed=seed)
+    return rt.run()[app.name]
 
 
 class TestSMIlessPolicy:

@@ -8,7 +8,7 @@ from repro.dag import linear_pipeline
 from repro.hardware import HardwareConfig
 from repro.policies import AlwaysOnPolicy, OnDemandPolicy
 from repro.predictor import InterArrivalPredictor, InvocationPredictor
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.simulator.reporting import (
     format_cost_breakdown,
     format_function_table,
@@ -29,7 +29,9 @@ from repro.workload.analysis import (
 def run_metrics():
     app = linear_pipeline(2, models=("IR", "DB"))
     trace = constant_rate_process(10.0, 120.0, offset=5.0)
-    return ServerlessSimulator(app, trace, AlwaysOnPolicy(), seed=0).run()
+    rt = Runtime()
+    rt.add_app(app, trace, AlwaysOnPolicy(), seed=0)
+    return rt.run()[app.name]
 
 
 class TestReporting:
@@ -63,9 +65,9 @@ class TestReporting:
     def test_report_mentions_failed_inits(self):
         app = linear_pipeline(1, models=("IR",))
         trace = constant_rate_process(10.0, 100.0, offset=5.0)
-        m = ServerlessSimulator(
-            app, trace, OnDemandPolicy(), seed=1, init_failure_rate=0.5
-        ).run()
+        rt = Runtime(init_failure_rate=0.5)
+        rt.add_app(app, trace, OnDemandPolicy(), seed=1)
+        m = rt.run()[app.name]
         assert "failed" in format_report(m)
 
 
@@ -164,9 +166,16 @@ class TestGpuContention:
         app = linear_pipeline(1, models=("TG",))
         trace = constant_rate_process(8.0, 160.0, offset=5.0)
         policy = AlwaysOnPolicy(config=HardwareConfig.gpu(0.5))
-        m = ServerlessSimulator(
-            app, trace, policy, seed=4, noisy=False, gpu_contention=contention
-        ).run()
+        rt = Runtime()
+        rt.add_app(
+            app,
+            trace,
+            policy,
+            seed=4,
+            noisy=False,
+            gpu_contention=contention,
+        )
+        m = rt.run()[app.name]
         return m
 
     def test_no_contention_for_sole_tenant(self):
@@ -200,10 +209,16 @@ class TestGpuContention:
         cluster = Cluster.build(n_machines=1)
 
         def mean_lat(contention):
-            m = ServerlessSimulator(
-                app, trace, TwoPods(), cluster=Cluster.build(n_machines=1),
-                seed=4, noisy=False, gpu_contention=contention,
-            ).run()
+            rt = Runtime(cluster=Cluster.build(n_machines=1))
+            rt.add_app(
+                app,
+                trace,
+                TwoPods(),
+                seed=4,
+                noisy=False,
+                gpu_contention=contention,
+            )
+            m = rt.run()[app.name]
             return m.latencies().mean()
 
         assert mean_lat(2.0) > mean_lat(0.0) * 1.3
@@ -211,7 +226,7 @@ class TestGpuContention:
     def test_invalid_contention_rejected(self):
         app = linear_pipeline(1, models=("TG",))
         with pytest.raises(ValueError):
-            ServerlessSimulator(
+            Runtime().add_app(
                 app, Trace([1.0], duration=5.0), AlwaysOnPolicy(),
                 gpu_contention=-1.0,
             )

@@ -38,9 +38,16 @@ from repro.simulator import (
     Deployment,
     FunctionDirective,
     MultiAppSimulator,
-    ServerlessSimulator,
+    Runtime,
 )
-from repro.telemetry import TraceRecorder, aggregate, aggregate_all, read_jsonl
+from repro.telemetry import (
+    TraceRecorder,
+    aggregate,
+    aggregate_all,
+    read_jsonl,
+    to_dict,
+    validate_event,
+)
 from repro.telemetry.events import (
     ExecutionFailed,
     FallbackActivated,
@@ -126,9 +133,9 @@ class TestMachineOutages:
             resilience=ResilienceSpec(max_retries=10, retry_backoff=0.1),
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app, trace, AlwaysOnPolicy(), seed=0, faults=plan, recorder=rec
-        ).run()
+        rt = Runtime(faults=plan, recorder=rec)
+        rt.add_app(app, trace, AlwaysOnPolicy(), seed=0)
+        m = rt.run()[app.name]
         # No invocation lost: the displaced work retried and completed.
         assert_conserved(trace, m)
         assert m.unfinished == 0 and m.timed_out == 0
@@ -144,9 +151,9 @@ class TestMachineOutages:
         trace = Trace([5.0], duration=20.0)
         plan = FaultPlan(outages=(MachineOutage(machine=99, start=1.0),))
         with pytest.raises(ValueError, match="only"):
-            ServerlessSimulator(
-                app, trace, AlwaysOnPolicy(), seed=0, faults=plan
-            ).run()
+            rt = Runtime(faults=plan)
+            rt.add_app(app, trace, AlwaysOnPolicy(), seed=0)
+            rt.run()
 
 
 # ------------------------------------------------------- execution faults
@@ -159,9 +166,9 @@ class TestExecutionFaults:
             resilience=ResilienceSpec(max_retries=20, retry_backoff=0.05),
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app, trace, AlwaysOnPolicy(), seed=0, faults=plan, recorder=rec
-        ).run()
+        rt = Runtime(faults=plan, recorder=rec)
+        rt.add_app(app, trace, AlwaysOnPolicy(), seed=0)
+        m = rt.run()[app.name]
         assert m.failed_executions > 0
         assert m.stage_retries > 0
         assert m.timed_out == 0
@@ -181,9 +188,9 @@ class TestExecutionFaults:
             resilience=ResilienceSpec(max_retries=2, retry_backoff=0.0),
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app, trace, OnDemandPolicy(), seed=0, faults=plan, recorder=rec
-        ).run()
+        rt = Runtime(faults=plan, recorder=rec)
+        rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        m = rt.run()[app.name]
         # Every invocation burns its full budget, then is abandoned.
         assert len(m.invocations) == 0
         assert m.timed_out == len(trace)
@@ -206,9 +213,9 @@ class TestDeadlines:
             resilience=ResilienceSpec(deadline_factor=2.0),
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app, trace, AlwaysOnPolicy(), seed=0, faults=plan, recorder=rec
-        ).run()
+        rt = Runtime(faults=plan, recorder=rec)
+        rt.add_app(app, trace, AlwaysOnPolicy(), seed=0)
+        m = rt.run()[app.name]
         assert m.timed_out == len(trace)
         assert len(m.invocations) == 0
         assert_conserved(trace, m)
@@ -223,9 +230,9 @@ class TestDeadlines:
         trace = constant_rate_process(10.0, 40.0, offset=5.0)
         plan = FaultPlan(resilience=ResilienceSpec(deadline_factor=10.0))
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app, trace, AlwaysOnPolicy(), seed=0, faults=plan, recorder=rec
-        ).run()
+        rt = Runtime(faults=plan, recorder=rec)
+        rt.add_app(app, trace, AlwaysOnPolicy(), seed=0)
+        m = rt.run()[app.name]
         assert m.timed_out == 0
         assert len(m.invocations) == len(trace)
         assert not any(isinstance(e, InvocationTimedOut) for e in rec)
@@ -243,14 +250,14 @@ class TestInitFailureBursts:
             ),
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
+        rt = Runtime(faults=plan, recorder=rec)
+        rt.add_app(
             app,
             trace,
             FixedConfigPolicy(HardwareConfig.cpu(4)),
             seed=0,
-            faults=plan,
-            recorder=rec,
-        ).run()
+        )
+        m = rt.run()[app.name]
         # 3 cpu-4 attempts, crash-loop fallback, 3 cpu-16 attempts, stop:
         # the loop terminates instead of relaunching forever.
         assert m.failed_initializations == 6
@@ -270,13 +277,14 @@ class TestInitFailureBursts:
         plan = FaultPlan(
             init_failure_bursts=(InitFailureBurst(rate=1.0, start=0.0, end=10.0),)
         )
-        m = ServerlessSimulator(
+        rt = Runtime(faults=plan)
+        rt.add_app(
             app,
             trace,
             FixedConfigPolicy(HardwareConfig.cpu(4)),
             seed=0,
-            faults=plan,
-        ).run()
+        )
+        m = rt.run()[app.name]
         # Launch happens after the burst window: init succeeds first try.
         assert m.failed_initializations == 0
         assert len(m.invocations) == 1
@@ -292,15 +300,14 @@ class TestGpuStarvationFallback:
             resilience=ResilienceSpec(fallback_after=1, fallback_config="cpu-16")
         )
         rec = TraceRecorder()
-        m = ServerlessSimulator(
+        rt = Runtime(cluster=cluster, faults=plan, recorder=rec)
+        rt.add_app(
             app,
             trace,
             FixedConfigPolicy(HardwareConfig.gpu(0.3)),
             seed=0,
-            cluster=cluster,
-            faults=plan,
-            recorder=rec,
-        ).run()
+        )
+        m = rt.run()[app.name]
         assert m.fallbacks == 1
         fallbacks = [e for e in rec if isinstance(e, FallbackActivated)]
         assert [e.reason for e in fallbacks] == ["gpu-starvation"]
@@ -323,9 +330,9 @@ class TestPrewarmMissPin:
         app = linear_pipeline(1, models=self.APP)
         trace = Trace([1.0], duration=duration)
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            app, trace, policy, seed=0, faults=faults, recorder=rec
-        ).run()
+        rt = Runtime(faults=faults, recorder=rec)
+        rt.add_app(app, trace, policy, seed=0)
+        m = rt.run()[app.name]
         return m, rec
 
     def test_no_miss_at_run_shutdown(self):
@@ -382,21 +389,18 @@ def test_no_invocation_lost_under_chaos(chaos_env, chaos_plan, policy):
     """Acceptance: mid-run outage + execution faults under every policy."""
     env = chaos_env
     rec = TraceRecorder()
-    sim = ServerlessSimulator(
-        env.app,
-        env.trace,
-        env.make_policy(policy),
-        seed=3,
-        faults=chaos_plan,
-        recorder=rec,
-    )
-    live = sim.run()
+    rt = Runtime(faults=chaos_plan, recorder=rec)
+    rt.add_app(env.app, env.trace, env.make_policy(policy), seed=3)
+    live = rt.run()[env.app.name]
     # Conservation: every arrival is completed, unfinished or timed out.
     assert_conserved(env.trace, live)
     # The chaos actually bit and was absorbed.
     assert live.stage_retries > 0
     assert expiry_reasons(rec).count("machine-failed") > 0
-    # Trace-derived metrics equal the live counters exactly.
+    # Every emitted event satisfies the published schema, and the
+    # trace-derived metrics equal the live counters exactly.
+    for event in rec:
+        assert validate_event(to_dict(event)) == []
     assert_reconstructs(live, aggregate(rec.events, app=env.app.name))
     # Per-instance billing stays balanced through evictions and retries.
     for usage in live.instances:
@@ -404,8 +408,8 @@ def test_no_invocation_lost_under_chaos(chaos_env, chaos_plan, policy):
             usage.init_seconds + usage.busy_seconds + usage.idle_seconds
         )
     # Every allocation was released: the cluster ends empty.
-    assert sim.cluster.cores_used() == 0
-    assert sim.cluster.gpu_slots_used() == 0
+    assert rt.cluster.cores_used() == 0
+    assert rt.cluster.gpu_slots_used() == 0
 
 
 def test_multiapp_conservation_under_chaos(chaos_env):

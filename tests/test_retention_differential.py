@@ -23,7 +23,7 @@ from repro.experiments.scenario import ScenarioSpec
 from repro.faults.plan import ExecutionFault, FaultPlan, ResilienceSpec
 from repro.hardware import Backend
 from repro.metrics import QuantileSketch
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.simulator.metrics import RunMetrics
 from repro.telemetry.events import from_dict, to_dict, validate_event
 from repro.telemetry.recorder import TraceRecorder
@@ -66,14 +66,9 @@ COUNTERS = (
 
 
 def _run(env, policy: str, retention: str, *, faults=None) -> RunMetrics:
-    return ServerlessSimulator(
-        env.app,
-        env.trace,
-        env.make_policy(policy),
-        seed=3,
-        faults=faults,
-        retention=retention,
-    ).run()
+    rt = Runtime(faults=faults, retention=retention)
+    rt.add_app(env.app, env.trace, env.make_policy(policy), seed=3)
+    return rt.run()[env.app.name]
 
 
 def assert_equivalent(full: RunMetrics, sketch: RunMetrics) -> None:
@@ -149,13 +144,9 @@ class TestZeroCompletionRegression:
     def test_empty_trace_simulation(self, env):
         trace = Trace(np.empty(0), duration=30.0)
         for retention in ("full", "sketch"):
-            m = ServerlessSimulator(
-                env.app,
-                trace,
-                env.make_policy("grandslam"),
-                seed=3,
-                retention=retention,
-            ).run()
+            rt = Runtime(retention=retention)
+            rt.add_app(env.app, trace, env.make_policy("grandslam"), seed=3)
+            m = rt.run()[env.app.name]
             assert m.n_completed == 0
             assert math.isnan(m.latency_percentile(50))
             assert math.isnan(m.summary()["mean_latency"])
@@ -203,14 +194,9 @@ class TestGridParity:
 class TestTelemetryRoundTrip:
     def test_run_finished_carries_sketch(self, env):
         rec = TraceRecorder()
-        m = ServerlessSimulator(
-            env.app,
-            env.trace,
-            env.make_policy("grandslam"),
-            seed=3,
-            retention="sketch",
-            recorder=rec,
-        ).run()
+        rt = Runtime(retention="sketch", recorder=rec)
+        rt.add_app(env.app, env.trace, env.make_policy("grandslam"), seed=3)
+        m = rt.run()[env.app.name]
         finished = [e for e in rec.events if type(e).__name__ == "RunFinished"]
         assert len(finished) == 1
         event = finished[0]
@@ -233,13 +219,9 @@ class TestTelemetryRoundTrip:
     def test_full_mode_emits_empty_sketch(self):
         env = build_environment("image-query", duration=60.0)
         rec = TraceRecorder()
-        ServerlessSimulator(
-            env.app,
-            env.trace,
-            env.make_policy("grandslam"),
-            seed=3,
-            recorder=rec,
-        ).run()
+        rt = Runtime(recorder=rec)
+        rt.add_app(env.app, env.trace, env.make_policy("grandslam"), seed=3)
+        rt.run()
         (event,) = [e for e in rec.events if type(e).__name__ == "RunFinished"]
         assert event.latency_sketch == ()
 

@@ -1,4 +1,4 @@
-"""Tests for the Runtime/Gateway split behind the simulator facades."""
+"""Tests for the Runtime/Gateway core and the experiment facade over it."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.simulator import (
     Gateway,
     MultiAppSimulator,
     Runtime,
-    ServerlessSimulator,
     derive_app_seed,
 )
 from repro.workload import Trace, constant_rate_process
@@ -60,32 +59,36 @@ class TestRuntimeAPI:
             Runtime(drain_timeout=-1.0)
 
     def test_direct_runtime_matches_solo_facade(self):
-        """Driving Runtime/Gateway by hand equals the ServerlessSimulator facade."""
+        """A one-deployment co-run equals Runtime/add_app with the derived seed."""
         app = named_app("a", ("IR",))
         trace = constant_rate_process(10.0, 60.0, offset=5.0)
 
         rt = Runtime()
-        rt.add_app(app, trace, AlwaysOnPolicy(), seed=4)
+        rt.add_app(app, trace, AlwaysOnPolicy(), seed=derive_app_seed(4, "a"))
         direct = rt.run()["a"]
 
-        facade = ServerlessSimulator(
-            named_app("a", ("IR",)),
-            constant_rate_process(10.0, 60.0, offset=5.0),
-            AlwaysOnPolicy(),
-            seed=4,
-        ).run()
+        facade = MultiAppSimulator(
+            [Deployment(app, trace, AlwaysOnPolicy())], seed=4
+        ).run()["a"]
         assert direct.summary() == facade.summary()
 
     def test_facade_exposes_runtime_and_gateway(self):
-        sim = ServerlessSimulator(
-            named_app("a", ("IR",)), Trace([1.0], duration=5.0), AlwaysOnPolicy()
+        sim = MultiAppSimulator(
+            [
+                Deployment(
+                    named_app("a", ("IR",)),
+                    Trace([1.0], duration=5.0),
+                    AlwaysOnPolicy(),
+                )
+            ]
         )
         assert isinstance(sim.runtime, Runtime)
-        assert isinstance(sim.gateway, Gateway)
+        assert sim.runtime.gateways == sim.gateways
+        assert isinstance(sim.gateways[0], Gateway)
         # per-app state lives on the gateway, not on the facade
-        assert sim.gateway.app.name == "a"
+        assert sim.gateways[0].app.name == "a"
         assert not hasattr(sim, "app")
-        assert sim.open_invocations == 0
+        assert sim.runtime.open_invocations == 0
 
 
 class TestSeedDerivation:
@@ -175,9 +178,9 @@ class TestCrossAppBackPressure:
     def test_solo_victim_is_healthy(self):
         cluster = Cluster.build(n_machines=1, cores_per_machine=16)
         dep = self.victim_deployment()
-        metrics = ServerlessSimulator(
-            dep.app, dep.trace, dep.policy, cluster=cluster, seed=0
-        ).run()
+        rt = Runtime(cluster=cluster)
+        rt.add_app(dep.app, dep.trace, dep.policy, seed=0)
+        metrics = rt.run()[dep.app.name]
         assert metrics.unfinished == 0
         assert metrics.latencies().max() < 10.0
 

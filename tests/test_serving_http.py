@@ -424,3 +424,20 @@ class TestClosedLoopRecordReplay:
         }
         with pytest.raises(ValueError, match="legacy"):
             cell_from_header(header)
+
+    def test_header_with_other_window_rejected(self, tmp_path):
+        """The control window is fixed at 1 s; a log naming another is
+        refused rather than replayed on a window the session never ran."""
+        log_path = tmp_path / "window.jsonl"
+        record_session(log_path)
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert records[0]["kind"] == "header"
+        assert records[0]["window"] == 1.0
+        records[0]["window"] = 2.0
+        log_path.write_text(
+            "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+        )
+        with pytest.raises(ValueError, match="window 2.0"):
+            cell_from_header(records[0])
+        with pytest.raises(ValueError, match="window 2.0"):
+            replay_request_log(log_path)

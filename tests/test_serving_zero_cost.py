@@ -46,14 +46,14 @@ SIM_SNIPPET = """\
 import json, sys
 {prelude}
 from repro.experiments import build_environment
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 env = build_environment(
     "image-query", preset="steady", sla=2.0,
     duration=60.0, train_duration=300.0, seed=0,
 )
-metrics = ServerlessSimulator(
-    env.app, env.trace, env.make_policy("smiless"), seed=3
-).run()
+rt = Runtime()
+rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+metrics = rt.run()[env.app.name]
 loaded = any(m.startswith("repro.serving") for m in sys.modules)
 assert loaded == {expect_loaded}, sorted(sys.modules)
 print(json.dumps(metrics.summary(), sort_keys=True))

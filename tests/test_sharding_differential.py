@@ -35,7 +35,7 @@ from repro.experiments.scenario import ScenarioSpec
 from repro.faults.plan import ExecutionFault, FaultPlan, FlashCrowd, ResilienceSpec
 from repro.overload import OverloadSpec
 from repro.sharding import ShardPlan, run_sharded
-from repro.simulator import ServerlessSimulator
+from repro.simulator import Runtime
 from repro.simulator.runtime import derive_slice_seed
 
 APPS = ("amber-alert", "image-query", "voice-assistant")
@@ -129,13 +129,14 @@ class TestFourShardParity:
         for i in range(n_slices):
             end = built.trace.duration if i == n_slices - 1 else (i + 1) * width
             sliced = built.trace.slice(i * width, end)
-            metrics = ServerlessSimulator(
+            rt = Runtime(retention="full")
+            rt.add_app(
                 built.app,
                 sliced,
                 built.make_policy("grandslam"),
                 seed=derive_slice_seed(3, env.app, i, n_slices),
-                retention="full",
-            ).run()
+            )
+            metrics = rt.run()[built.app.name]
             lats.append(metrics.latencies())
         lat = np.sort(np.concatenate(lats))
         m = merged[env.app]

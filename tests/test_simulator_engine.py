@@ -15,12 +15,14 @@ from repro.dag import image_query, linear_pipeline
 from repro.hardware import Backend, HardwareConfig
 from repro.policies import AlwaysOnPolicy, OnDemandPolicy
 from repro.policies.base import Policy
-from repro.simulator import Cluster, FunctionDirective, ServerlessSimulator
+from repro.simulator import Cluster, FunctionDirective, Runtime
 from repro.workload import Trace, constant_rate_process
 
 
-def run(app, trace, policy, **kw):
-    return ServerlessSimulator(app, trace, policy, seed=0, **kw).run()
+def run(app, trace, policy):
+    rt = Runtime()
+    rt.add_app(app, trace, policy, seed=0)
+    return rt.run()[app.name]
 
 
 class TestBasicExecution:
@@ -159,7 +161,9 @@ class TestPrewarming:
         app = linear_pipeline(1, models=("IR",))
         trace = Trace([30.0], duration=40.0)
         policy = self.PrewarmOnce(ready_at=30.0, init_guess=3.0)
-        m = ServerlessSimulator(app, trace, policy, seed=0, noisy=False).run()
+        rt = Runtime()
+        rt.add_app(app, trace, policy, seed=0, noisy=False)
+        m = rt.run()[app.name]
         inv = m.invocations[0]
         assert not inv.stages["f0-IR"].cold_start
         assert inv.latency < 1.0
@@ -176,9 +180,9 @@ class TestPrewarming:
                     "f0-IR", 27.5, HardwareConfig.cpu(4)
                 )
 
-        m = ServerlessSimulator(
-            app, trace, DoubleWarm(30.0, 3.0), seed=0, noisy=False
-        ).run()
+        rt = Runtime()
+        rt.add_app(app, trace, DoubleWarm(30.0, 3.0), seed=0, noisy=False)
+        m = rt.run()[app.name]
         assert m.initializations == 1
 
 
@@ -226,10 +230,14 @@ class TestCapacityPressure:
         app = linear_pipeline(1, models=("IR",))
         cluster = Cluster.build(n_machines=1, cores_per_machine=16)
         trace = Trace(list(np.linspace(10, 11, 8)), duration=60.0)
-        m = ServerlessSimulator(
-            app, trace, OnDemandPolicy(config=HardwareConfig.cpu(16)),
-            cluster=cluster, seed=0,
-        ).run()
+        rt = Runtime(cluster=cluster)
+        rt.add_app(
+            app,
+            trace,
+            OnDemandPolicy(config=HardwareConfig.cpu(16)),
+            seed=0,
+        )
+        m = rt.run()[app.name]
         assert len(m.invocations) + m.unfinished == 8
         # never more than one concurrent 16-core instance on 16 cores
         assert max(p[1] for p in m.pod_samples) <= 1
@@ -275,6 +283,6 @@ class TestMetricsPlumbing:
 
         app = linear_pipeline(1, models=("IR",))
         with pytest.raises(RuntimeError, match="directive"):
-            ServerlessSimulator(
-                app, Trace([1.0], duration=5.0), Lazy(), seed=0
-            ).run()
+            rt = Runtime()
+            rt.add_app(app, Trace([1.0], duration=5.0), Lazy(), seed=0)
+            rt.run()

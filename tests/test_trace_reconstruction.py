@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.experiments import build_environment
-from repro.simulator import Deployment, MultiAppSimulator, ServerlessSimulator
+from repro.simulator import Deployment, MultiAppSimulator, Runtime
 from repro.telemetry import (
     TraceRecorder,
     aggregate,
@@ -76,9 +76,9 @@ def assert_metrics_equal(live, rebuilt):
 def test_aggregate_reconstructs_live_counters(environments, app, policy):
     env = environments[app]
     rec = TraceRecorder()
-    live = ServerlessSimulator(
-        env.app, env.trace, env.make_policy(policy), seed=3, recorder=rec
-    ).run()
+    rt = Runtime(recorder=rec)
+    rt.add_app(env.app, env.trace, env.make_policy(policy), seed=3)
+    live = rt.run()[env.app.name]
     assert len(rec) > 0
     # Every emitted event satisfies the published schema.
     for event in rec:
@@ -89,9 +89,9 @@ def test_aggregate_reconstructs_live_counters(environments, app, policy):
 def test_aggregate_survives_jsonl_round_trip(environments, tmp_path):
     env = environments["image-query"]
     rec = TraceRecorder()
-    live = ServerlessSimulator(
-        env.app, env.trace, env.make_policy("smiless"), seed=3, recorder=rec
-    ).run()
+    rt = Runtime(recorder=rec)
+    rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+    live = rt.run()[env.app.name]
     path = tmp_path / "run.jsonl"
     rec.write_jsonl(path)
     assert_metrics_equal(live, aggregate(read_jsonl(path)))
@@ -100,14 +100,9 @@ def test_aggregate_survives_jsonl_round_trip(environments, tmp_path):
 def test_aggregate_with_init_failures(environments):
     env = environments["image-query"]
     rec = TraceRecorder()
-    live = ServerlessSimulator(
-        env.app,
-        env.trace,
-        env.make_policy("on-demand"),
-        seed=3,
-        init_failure_rate=0.3,
-        recorder=rec,
-    ).run()
+    rt = Runtime(init_failure_rate=0.3, recorder=rec)
+    rt.add_app(env.app, env.trace, env.make_policy("on-demand"), seed=3)
+    live = rt.run()[env.app.name]
     assert live.failed_initializations > 0
     assert_metrics_equal(live, aggregate(rec.events))
 
@@ -128,14 +123,9 @@ def test_aggregate_with_fault_plan(environments):
         resilience=ResilienceSpec(max_retries=8, retry_backoff=0.2),
     )
     rec = TraceRecorder()
-    live = ServerlessSimulator(
-        env.app,
-        env.trace,
-        env.make_policy("smiless"),
-        seed=3,
-        faults=plan,
-        recorder=rec,
-    ).run()
+    rt = Runtime(faults=plan, recorder=rec)
+    rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+    live = rt.run()[env.app.name]
     assert live.stage_retries > 0
     for event in rec:
         assert validate_event(to_dict(event)) == []
@@ -166,10 +156,9 @@ def test_null_recorder_runs_bit_identical(environments):
     env = environments["image-query"]
 
     def run(recorder=None):
-        return ServerlessSimulator(
-            env.app, env.trace, env.make_policy("smiless"), seed=3,
-            recorder=recorder,
-        ).run().summary()
+        rt = Runtime(recorder=recorder)
+        rt.add_app(env.app, env.trace, env.make_policy("smiless"), seed=3)
+        return rt.run()[env.app.name].summary()
 
     assert run() == run(TraceRecorder())
 
@@ -179,9 +168,9 @@ def test_every_directive_change_has_a_reason(environments):
     for app, policy in PAIRS:
         env = environments[app]
         rec = TraceRecorder()
-        ServerlessSimulator(
-            env.app, env.trace, env.make_policy(policy), seed=3, recorder=rec
-        ).run()
+        rt = Runtime(recorder=rec)
+        rt.add_app(env.app, env.trace, env.make_policy(policy), seed=3)
+        rt.run()
         changes = decision_audit(rec.events)
         assert changes, f"{policy} issued no directives"
         for change in changes:
@@ -197,10 +186,9 @@ def test_invocation_ids_are_per_runtime(environments):
 
     def arrival_ids():
         rec = TraceRecorder()
-        ServerlessSimulator(
-            env.app, env.trace, env.make_policy("on-demand"), seed=3,
-            recorder=rec,
-        ).run()
+        rt = Runtime(recorder=rec)
+        rt.add_app(env.app, env.trace, env.make_policy("on-demand"), seed=3)
+        rt.run()
         ids = [e.invocation_id for e in rec if isinstance(e, Arrival)]
         return ids
 
