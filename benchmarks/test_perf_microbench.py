@@ -35,8 +35,9 @@ import os
 import pathlib
 import time
 
+from repro.experiments import ScenarioSpec
 from repro.experiments import parallel as parallel_mod
-from repro.experiments.parallel import product_grid, run_grid
+from repro.experiments.parallel import run_grid
 from repro.policies import smiless as smiless_mod
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -97,7 +98,7 @@ def _timed_grid(cells, *, workers: int):
 
 
 def test_perf_microbench(tmp_path):
-    cells = product_grid(APPS, POLICIES, duration=DURATION)
+    cells = ScenarioSpec(apps=APPS, policies=POLICIES, duration=DURATION).cells()
 
     serial_walls = []
     serial_results = None

@@ -1,6 +1,10 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Subcommands wrap the :mod:`repro.experiments` runners:
+Every run command compiles its flags into one
+:class:`~repro.experiments.scenario.ScenarioSpec` (``_scenario_spec``) and
+runs it through :mod:`repro.experiments`.  One seed rule holds for all of
+them: ``--seed S`` builds every app's environment with seed ``S`` and seeds
+the simulator with ``S + 3``.  The subcommands:
 
 - ``compare``   — serve one application under several policies
 - ``sweep``     — SLA sweep under one policy
@@ -50,6 +54,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,129 +62,59 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import (
-    PACK_NAMES,
-    ScenarioSpec,
-    build_environment,
-    run_comparison,
-    run_multi_app,
-    run_scenario,
-    run_sla_sweep,
-)
+from repro.experiments import PACK_NAMES, ScenarioSpec, run_grid, run_scenario
+from repro.experiments.parallel import cell_simulator
 from repro.experiments.runners import APP_BUILDERS, PAPER_APPS, POLICY_NAMES
 from repro.simulator.metrics import RETENTION_MODES
 from repro.workload.azure import PRESETS
 
 
-def _load_faults(args):
-    """Parse ``--faults <plan.json>`` into a FaultPlan (``None`` when absent)."""
-    if getattr(args, "faults", None) is None:
-        return None
-    from repro.faults import FaultPlan
+#: The :class:`ScenarioSpec` field each run flag (argparse ``dest``) sets.
+_SPEC_FIELDS = {
+    "app": "apps",
+    "policy": "policies",
+    "policies": "policies",
+    "sla": "slas",
+    "slas": "slas",
+    "preset": "presets",
+    "duration": "duration",
+    "init_failure_rate": "init_failure_rate",
+    "faults": "faults",
+    "overload": "overload",
+    "retention": "retention",
+    "azure_trace": "azure_trace",
+    "trace_dir": "trace_dir",
+    "shards": "shards",
+    "slices_per_app": "slices_per_app",
+}
 
-    return FaultPlan.from_json(args.faults)
 
+def _scenario_spec(args, **axes) -> ScenarioSpec:
+    """Compile a run command's flags into its one :class:`ScenarioSpec`.
 
-def _load_overload(args):
-    """Parse ``--overload <spec.json>`` into an OverloadSpec (``None`` when absent)."""
-    if getattr(args, "overload", None) is None:
-        return None
-    from repro.overload import OverloadSpec
-
-    return OverloadSpec.from_json(args.overload)
-
-
-def _print_rows(rows) -> None:
-    print(
-        f"{'policy':<16} {'cost':>9} {'violations':>11} {'mean lat':>9} "
-        f"{'p99 lat':>8} {'reinit':>7}"
+    ``axes`` are the fields the command fixes itself (``multiapp``'s apps,
+    a JSON spec's contents); every flag of ``_SPEC_FIELDS`` the command has
+    and the user set (not ``None``) overrides them.  ``--faults`` and
+    ``--overload`` pass through as paths, which
+    :meth:`ScenarioSpec.from_dict` loads.  The one seed rule: ``--seed S``
+    builds every app's environment with seed ``S`` and seeds the simulator
+    with ``S + 3``.
+    """
+    flags = vars(args)
+    data = dict(axes)
+    data.update(
+        (field, flags[dest])
+        for dest, field in _SPEC_FIELDS.items()
+        if flags.get(dest) is not None
     )
-    for r in rows:
-        print(
-            f"{r.policy:<16} ${r.total_cost:>8.4f} {r.violation_ratio:>10.1%} "
-            f"{r.mean_latency:>8.2f}s {r.p99_latency:>7.2f}s "
-            f"{r.reinit_fraction:>6.1%}"
-        )
+    if flags.get("seed") is not None:
+        data.update(env_seed=args.seed, seeds=args.seed + 3)
+    return ScenarioSpec.from_dict(data)
 
 
-def cmd_compare(args) -> int:
-    env = build_environment(
-        args.app,
-        preset=args.preset,
-        sla=args.sla,
-        duration=args.duration,
-        seed=args.seed,
-    )
-    print(
-        f"{args.app}: {len(env.trace)} invocations over "
-        f"{env.trace.duration:.0f}s (preset {args.preset!r}, SLA {args.sla}s)\n"
-    )
-    _print_rows(
-        run_comparison(
-            env,
-            tuple(args.policies),
-            workers=args.workers,
-            init_failure_rate=args.init_failure_rate,
-            faults=_load_faults(args),
-            overload=_load_overload(args),
-            retention=args.retention,
-        )
-    )
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    env = build_environment(
-        args.app, preset=args.preset, duration=args.duration, seed=args.seed
-    )
-    print(f"SLA sweep on {args.app} under {args.policy!r}\n")
-    print(f"{'SLA':>6} {'cost':>9} {'violations':>11} {'mean lat':>9}")
-    for sla, row in run_sla_sweep(
-        env,
-        tuple(args.slas),
-        args.policy,
-        workers=args.workers,
-        init_failure_rate=args.init_failure_rate,
-        faults=_load_faults(args),
-        overload=_load_overload(args),
-        retention=args.retention,
-    ):
-        print(
-            f"{sla:>5.1f}s ${row.total_cost:>8.4f} "
-            f"{row.violation_ratio:>10.1%} {row.mean_latency:>8.2f}s"
-        )
-    return 0
-
-
-def cmd_multiapp(args) -> int:
-    envs = [
-        build_environment(
-            name,
-            preset=args.preset,
-            duration=args.duration,
-            seed=args.seed + i,
-        )
-        for i, name in enumerate(PAPER_APPS)
-    ]
-    print(
-        f"Co-running {len(envs)} applications on one shared cluster "
-        f"under {args.policy!r}\n"
-    )
-    results = run_multi_app(
-        envs,
-        args.policy,
-        workers=args.workers,
-        init_failure_rate=args.init_failure_rate,
-        faults=_load_faults(args),
-        overload=_load_overload(args),
-        retention=args.retention,
-    )
-    _print_rows(
-        [row for _, row in sorted(results.items())]
-    )
-    total = sum(r.total_cost for r in results.values())
-    print(f"\ntotal cluster bill: ${total:.4f}")
-    return 0
+def cmd_run(args, **axes) -> int:
+    """``compare``, ``sweep`` and ``multiapp``: a scenario given by flags."""
+    return _print_scenario(_scenario_spec(args, **axes), workers=args.workers)
 
 
 def _print_scenario_rows(rows) -> None:
@@ -252,26 +187,15 @@ def cmd_scenario(args) -> int:
         return 2
     if args.preset is not None:
         return _cmd_scenario_pack(args)
-    spec = ScenarioSpec.from_json(args.spec)
-    overrides = {}
-    if args.azure_trace is not None:
-        overrides["azure_trace"] = args.azure_trace
-    if args.trace_dir is not None:
-        overrides["trace_dir"] = args.trace_dir
-    if args.retention is not None:
-        overrides["retention"] = args.retention
-    if args.shards is not None:
-        overrides["shards"] = args.shards
-    if args.slices_per_app is not None:
-        overrides["slices_per_app"] = args.slices_per_app
-    if overrides:
-        import dataclasses
+    # ``--preset`` names a pack, so it is ``None`` on this path.
+    spec = _scenario_spec(args, **json.loads(Path(args.spec).read_text()))
+    return _print_scenario(spec, workers=args.workers, as_json=args.json)
 
-        spec = dataclasses.replace(spec, **overrides)
-    if args.json:
-        from repro.experiments.parallel import run_grid
 
-        cells = _json_cells(run_grid(spec.cells(), workers=args.workers))
+def _print_scenario(spec: ScenarioSpec, *, workers: int, as_json=False) -> int:
+    """Run every cell of ``spec``; print one row (or JSON object) per app."""
+    if as_json:
+        cells = _json_cells(run_grid(spec.cells(), workers=workers))
         print(json.dumps(cells, indent=2))
         return 0
     n_cells = len(spec.cells())
@@ -281,8 +205,7 @@ def cmd_scenario(args) -> int:
         f"preset(s) x {len(spec.seeds)} seed(s) -> {n_cells} cell(s)"
         f"{' [co-run]' if spec.co_run else ''}\n"
     )
-    rows = run_scenario(spec, workers=args.workers)
-    _print_scenario_rows(rows)
+    _print_scenario_rows(run_scenario(spec, workers=workers))
     return 0
 
 
@@ -339,21 +262,10 @@ def cmd_report(args) -> int:
     if args.app is None:
         print("error: app is required unless --from-trace is given")
         return 2
-    from repro.simulator import Deployment, MultiAppSimulator
     from repro.workload.analysis import format_summary, summarize
 
-    env = build_environment(
-        args.app,
-        preset=args.preset,
-        sla=args.sla,
-        duration=args.duration,
-        seed=args.seed,
-    )
-    # A solo run is a one-deployment co-run, seeded like every grid cell.
-    metrics = MultiAppSimulator(
-        [Deployment(env.app, env.trace, env.make_policy(args.policy))],
-        seed=args.seed + 3,
-    ).run()[env.app.name]
+    (env,), sim = cell_simulator(_scenario_spec(args).cell())
+    metrics = sim.run()[env.app.name]
     if args.json:
         print(json.dumps(_json_safe(metrics.summary()), indent=2))
         return 0
@@ -382,7 +294,6 @@ def _summaries_match(a: dict, b: dict) -> bool:
 
 
 def cmd_trace(args) -> int:
-    from repro.simulator import Deployment, MultiAppSimulator
     from repro.telemetry import (
         TraceRecorder,
         aggregate,
@@ -393,22 +304,9 @@ def cmd_trace(args) -> int:
         write_jsonl,
     )
 
-    env = build_environment(
-        args.app,
-        preset=args.preset,
-        sla=args.sla,
-        duration=args.duration,
-        seed=args.seed,
-    )
     recorder = TraceRecorder()
-    metrics = MultiAppSimulator(
-        [Deployment(env.app, env.trace, env.make_policy(args.policy))],
-        seed=args.seed + 3,
-        recorder=recorder,
-        init_failure_rate=args.init_failure_rate,
-        faults=_load_faults(args),
-        overload=_load_overload(args),
-    ).run()[env.app.name]
+    (env,), sim = cell_simulator(_scenario_spec(args).cell(), recorder=recorder)
+    metrics = sim.run()[env.app.name]
 
     # Every emitted event must satisfy the published schema ...
     bad = 0
@@ -487,45 +385,27 @@ def cmd_bench(args) -> int:
     import dataclasses
     import resource
 
-    from repro.experiments.parallel import EnvSpec, MultiAppCellSpec, run_cell
+    from repro.experiments.parallel import run_cell
     from repro.sharding import clamp_shard_workers
 
     # Mode selection (--macro) is enforced by the argparse group; by the
     # time we are here a mode is guaranteed.
-    slices_per_app = (
-        args.slices_per_app
-        if args.slices_per_app is not None
-        else (4 if args.shards > 1 else 1)
-    )
     rate_per_app = 1.0 / PRESETS[args.preset].mean_gap
     aggregate_rate = rate_per_app * len(PAPER_APPS)
-    duration = (
-        float(args.duration)
-        if args.duration is not None
-        else math.ceil(args.invocations / aggregate_rate)
-    )
     try:
-        spec = MultiAppCellSpec(
-            envs=tuple(
-                EnvSpec(
-                    app=name,
-                    preset=args.preset,
-                    sla=args.sla,
-                    duration=duration,
-                    seed=args.seed,
-                )
-                for name in PAPER_APPS
-            ),
-            policy=args.policy,
-            sim_seed=args.seed + 3,
-            retention=args.retention,
-            shards=args.shards,
-            slices_per_app=slices_per_app,
-        )
+        spec = _scenario_spec(
+            args,
+            apps=PAPER_APPS,
+            # Defaults that --duration and --slices-per-app override.
+            duration=math.ceil(args.invocations / aggregate_rate),
+            slices_per_app=4 if args.shards > 1 else 1,
+        ).cell()
     except ValueError as exc:
         print(f"error: bench: {exc}", file=sys.stderr)
         return 2
-    sharded = spec.slices_per_app > 1
+    duration = spec.envs[0].duration
+    slices_per_app = spec.slices_per_app
+    sharded = slices_per_app > 1
     workers, clamp_note = clamp_shard_workers(args.shards)
     if clamp_note is not None:
         print(f"note: {clamp_note}")
@@ -542,7 +422,7 @@ def cmd_bench(args) -> int:
     print(
         f"macro bench: {len(PAPER_APPS)} apps x preset {args.preset!r} "
         f"(~{aggregate_rate:.0f} arrivals/s aggregate) for {duration:.0f}s "
-        f"under {args.policy!r}, retention={args.retention!r}{shard_banner}"
+        f"under {args.policy!r}, retention={spec.retention!r}{shard_banner}"
     )
     res = run_cell(spec)
     # ru_maxrss is KiB on Linux: the process-lifetime peak, which is the
@@ -555,7 +435,7 @@ def cmd_bench(args) -> int:
         "completed": int(completed),
         "policy": args.policy,
         "preset": args.preset,
-        "retention": args.retention,
+        "retention": spec.retention,
         "sla": args.sla,
         "duration": duration,
         "seed": args.seed,
@@ -699,8 +579,10 @@ def cmd_serve(args) -> int:
         make_pacer,
     )
 
-    spec = _serve_overload(args, ScenarioSpec.from_json(args.scenario))
-    driver = SimDriver(spec.serve_cell(), horizon=spec.duration)
+    spec = _serve_overload(
+        args, _scenario_spec(args, **json.loads(Path(args.scenario).read_text()))
+    )
+    driver = SimDriver(spec.cell(), horizon=spec.duration)
     pacer = make_pacer(args.pacing, time_scale=args.time_scale)
     log = RequestLogWriter(args.log) if args.log is not None else None
 
@@ -802,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, workers=True)
     chaos(p)
     retention_arg(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="SLA sweep under one policy")
     p.add_argument("app", choices=sorted(APP_BUILDERS))
@@ -811,14 +693,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, workers=True)
     chaos(p)
     retention_arg(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("multiapp", help="co-run the three evaluation apps")
     p.add_argument("--policy", default="smiless", choices=POLICY_NAMES)
     common(p, workers=True)
     chaos(p)
     retention_arg(p)
-    p.set_defaults(func=cmd_multiapp)
+    p.set_defaults(
+        func=functools.partial(cmd_run, apps=PAPER_APPS, co_run=True)
+    )
 
     p = sub.add_parser(
         "scenario",

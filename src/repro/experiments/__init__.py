@@ -1,12 +1,14 @@
 """Reusable experiment runners (the programmatic layer behind the CLI).
 
-These wrap the common evaluation shapes — policy comparisons, SLA sweeps,
-burst studies, multi-application co-runs, declarative scenarios — into
-functions that return plain result rows, so notebooks, the CLI and ad-hoc
-scripts share one implementation with the benchmark suite's semantics.
-All runners compile their axes through
-:class:`~repro.experiments.scenario.ScenarioSpec` and execute through the
-single :func:`~repro.experiments.parallel.run_grid` path.
+One run description, :class:`~repro.experiments.scenario.ScenarioSpec`,
+states every evaluation shape — policy comparisons, SLA sweeps,
+multi-application co-runs, built-in scenario packs — as the cross product
+of its axes.  :meth:`~ScenarioSpec.cells` compiles it to grid cells, which
+run through the single :func:`~repro.experiments.parallel.run_grid` path
+(:func:`run_scenario` returns plain result rows); :meth:`~ScenarioSpec.cell`
+compiles a one-value-per-axis spec to the one cell a single run hosts.
+Notebooks, the CLI and ad-hoc scripts share this one implementation with
+the benchmark suite's semantics.
 """
 
 from repro.experiments.packs import (
@@ -20,17 +22,13 @@ from repro.experiments.parallel import (
     CellResult,
     EnvSpec,
     MultiAppCellSpec,
-    product_grid,
     run_grid,
 )
 from repro.experiments.runners import (
     ComparisonRow,
     ScenarioRow,
     build_environment,
-    run_comparison,
-    run_multi_app,
     run_scenario,
-    run_sla_sweep,
 )
 from repro.experiments.scenario import ScenarioSpec
 
@@ -46,11 +44,7 @@ __all__ = [
     "CellResult",
     "build_environment",
     "pack_spec",
-    "product_grid",
     "run_grid",
-    "run_comparison",
     "run_pack",
-    "run_sla_sweep",
-    "run_multi_app",
     "run_scenario",
 ]

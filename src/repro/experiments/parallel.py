@@ -24,11 +24,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.faults.plan import FaultPlan
     from repro.overload.spec import OverloadSpec
+    from repro.simulator import MultiAppSimulator
+    from repro.telemetry.recorder import Recorder
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,36 @@ def _metrics_extras(metrics, *, arrivals: int) -> dict:
     }
 
 
+def cell_simulator(
+    spec: MultiAppCellSpec, *, recorder: "Recorder | None" = None
+) -> "tuple[list, MultiAppSimulator]":
+    """Build a shared-cluster cell's environments and its ready simulator.
+
+    Returns ``(environments, simulator)``, environments in ``spec.envs``
+    order.  Policies are constructed here — a policy that consumes
+    ``train_counts`` trains its predictors, which is offline preparation —
+    so a caller timing ``simulator.run()`` times the simulation only.
+    Every tenant is seeded with ``derive_app_seed(spec.sim_seed, app)``.
+    """
+    from repro.simulator import Deployment, MultiAppSimulator
+
+    envs = [_environment(e) for e in spec.envs]
+    deployments = [
+        Deployment(env.app, env.trace, env.make_policy(spec.policy))
+        for env in envs
+    ]
+    sim = MultiAppSimulator(
+        deployments,
+        seed=spec.sim_seed,
+        recorder=recorder,
+        init_failure_rate=spec.init_failure_rate,
+        faults=spec.faults,
+        overload=spec.overload,
+        retention=spec.retention,
+    )
+    return envs, sim
+
+
 def run_cell(spec: MultiAppCellSpec) -> CellResult:
     """Build the cell's environments, serve their traces, time the run.
 
@@ -207,31 +239,13 @@ def run_cell(spec: MultiAppCellSpec) -> CellResult:
     """
     if spec.slices_per_app > 1:
         return _run_sharded_cell(spec)
-    from repro.simulator import Deployment, MultiAppSimulator
-
-    envs = [_environment(e) for e in spec.envs]
     recorder = None
     if spec.trace_dir is not None:
         from repro.telemetry.recorder import TraceRecorder
 
         recorder = TraceRecorder()
-    # Built before the clock starts: a policy that consumes train_counts
-    # trains its predictors here, which is offline preparation, not
-    # simulation.
-    deployments = [
-        Deployment(env.app, env.trace, env.make_policy(spec.policy))
-        for env in envs
-    ]
+    envs, sim = cell_simulator(spec, recorder=recorder)
     start = time.perf_counter()
-    sim = MultiAppSimulator(
-        deployments,
-        seed=spec.sim_seed,
-        recorder=recorder,
-        init_failure_rate=spec.init_failure_rate,
-        faults=spec.faults,
-        overload=spec.overload,
-        retention=spec.retention,
-    )
     results = sim.run()
     wall = time.perf_counter() - start
     if recorder is not None:
@@ -291,33 +305,3 @@ def run_grid(
         return [run_cell(c) for c in cells]
     with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
         return list(pool.map(run_cell, cells))
-
-
-def product_grid(
-    apps: Iterable[str],
-    policies: Iterable[str],
-    slas: Iterable[float] = (2.0,),
-    seeds: Iterable[int] = (3,),
-    *,
-    preset: str = "steady",
-    duration: float = 600.0,
-    train_duration: float = 3600.0,
-    env_seed: int = 0,
-) -> list[MultiAppCellSpec]:
-    """The (app × sla × policy × seed) cell product, in deterministic order.
-
-    Thin wrapper over the :class:`~repro.experiments.scenario.ScenarioSpec`
-    compiler — the one place cell products are built.
-    """
-    from repro.experiments.scenario import ScenarioSpec
-
-    return ScenarioSpec(
-        apps=tuple(apps),
-        policies=tuple(policies),
-        slas=tuple(slas),
-        seeds=tuple(seeds),
-        presets=(preset,),
-        duration=duration,
-        train_duration=train_duration,
-        env_seed=env_seed,
-    ).cells()

@@ -1,24 +1,21 @@
-"""Experiment runners: environments, comparisons, sweeps, co-runs.
+"""Experiment runners: environments and scenario rows.
 
-Every runner compiles its axes through the
-:class:`~repro.experiments.scenario.ScenarioSpec` compiler and executes
-through :func:`~repro.experiments.parallel.run_grid` — serial execution is
-``workers=1`` on the same path, not a separate branch.  Cells carry the
-environment's build recipe (:attr:`Environment.spec`), not the environment
-itself, so every worker rebuilds exactly what :func:`build_environment`
-built.
+:func:`build_environment` profiles an app and synthesizes its training
+history and evaluation trace.  :func:`run_scenario` is the one runner: a
+comparison, an SLA sweep and a co-run are all a
+:class:`~repro.experiments.scenario.ScenarioSpec`, compiled to cells and
+executed through :func:`~repro.experiments.parallel.run_grid` — serial
+execution is ``workers=1`` on the same path, not a separate branch.  Cells
+carry :class:`~repro.experiments.parallel.EnvSpec` build recipes, not
+environments, so every worker rebuilds exactly what
+:func:`build_environment` builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.faults.plan import FaultPlan
-    from repro.overload.spec import OverloadSpec
 
 from repro.dag import (
     amber_alert,
@@ -28,12 +25,7 @@ from repro.dag import (
     voice_assistant,
 )
 from repro.dag.graph import AppDAG
-from repro.experiments.parallel import (
-    CellResult,
-    EnvSpec,
-    MultiAppCellSpec,
-    run_grid,
-)
+from repro.experiments.parallel import CellResult, run_grid
 from repro.experiments.scenario import ScenarioSpec
 from repro.policies import make_policy as registry_make_policy
 from repro.policies import policy_names
@@ -66,9 +58,6 @@ class Environment:
     oracle: dict
     train_counts: np.ndarray
     trace: Trace
-    # Picklable recipe this environment was built from; the runners ship
-    # it to grid cells, which rebuild the environment from it.
-    spec: EnvSpec
 
     def make_policy(self, name: str):
         """Instantiate a policy by registry name (see ``repro.policies.registry``)."""
@@ -116,15 +105,6 @@ def build_environment(
         oracle=oracle,
         train_counts=train.counts_per_window(1.0),
         trace=trace,
-        spec=EnvSpec(
-            app=app_name,
-            preset=preset,
-            sla=sla,
-            duration=duration,
-            train_duration=train_duration,
-            seed=seed,
-            azure_trace=azure_trace,
-        ),
     )
 
 
@@ -149,117 +129,6 @@ class ComparisonRow:
             p99_latency=s["p99_latency"],
             reinit_fraction=s["reinit_fraction"],
         )
-
-
-def run_comparison(
-    env: Environment,
-    policies: tuple[str, ...] = ("smiless", "orion", "icebreaker", "grandslam"),
-    *,
-    seed: int = 3,
-    workers: int = 1,
-    init_failure_rate: float = 0.0,
-    faults: "FaultPlan | None" = None,
-    overload: "OverloadSpec | None" = None,
-    retention: str = "full",
-) -> list[ComparisonRow]:
-    """Serve the environment's trace under each policy.
-
-    Compiles to grid cells through the scenario compiler and runs through
-    :func:`run_grid` — with ``workers > 1`` policies fan across worker
-    processes, and summaries are identical to a serial run.
-    ``init_failure_rate`` / ``faults`` inject the same failure regime into
-    every policy's run, making chaos comparisons apples-to-apples.
-    """
-    scenario = ScenarioSpec.for_environment(
-        env.spec,
-        policies=tuple(policies),
-        seeds=(seed,),
-        init_failure_rate=init_failure_rate,
-        faults=faults,
-        overload=overload,
-        retention=retention,
-    )
-    return [
-        ComparisonRow.from_summary(res.spec.policy, res.summary[env.spec.app])
-        for res in run_grid(scenario.cells(), workers=workers)
-    ]
-
-
-def run_sla_sweep(
-    env: Environment,
-    slas: tuple[float, ...],
-    policy: str = "smiless",
-    *,
-    seed: int = 3,
-    workers: int = 1,
-    init_failure_rate: float = 0.0,
-    faults: "FaultPlan | None" = None,
-    overload: "OverloadSpec | None" = None,
-    retention: str = "full",
-) -> list[tuple[float, ComparisonRow]]:
-    """Re-serve the trace at each SLA target under one policy.
-
-    With ``workers > 1`` the SLA points run in parallel worker processes,
-    through the same grid path a serial run uses.
-    """
-    scenario = ScenarioSpec.for_environment(
-        env.spec,
-        policies=(policy,),
-        slas=tuple(slas),
-        seeds=(seed,),
-        init_failure_rate=init_failure_rate,
-        faults=faults,
-        overload=overload,
-        retention=retention,
-    )
-    return [
-        (sla, ComparisonRow.from_summary(policy, res.summary[env.spec.app]))
-        for sla, res in zip(slas, run_grid(scenario.cells(), workers=workers))
-    ]
-
-
-def run_multi_app(
-    envs: list[Environment],
-    policies: str | tuple[str, ...] = "smiless",
-    *,
-    seed: int = 3,
-    workers: int = 1,
-    init_failure_rate: float = 0.0,
-    faults: "FaultPlan | None" = None,
-    overload: "OverloadSpec | None" = None,
-    retention: str = "full",
-) -> dict[str, ComparisonRow] | dict[str, dict[str, ComparisonRow]]:
-    """Co-run several environments on one shared cluster (§VII-A).
-
-    With a single policy name the return value is ``{app: row}``; with a
-    tuple of policies it is ``{policy: {app: row}}`` and ``workers > 1``
-    fans one co-run cell per policy across worker processes (through the
-    same :func:`run_grid` path as serial execution).
-    """
-    if not envs:
-        raise ValueError("need at least one environment")
-    single = isinstance(policies, str)
-    names = (policies,) if single else tuple(policies)
-    cells = [
-        MultiAppCellSpec(
-            envs=tuple(env.spec for env in envs),
-            policy=name,
-            sim_seed=seed,
-            init_failure_rate=init_failure_rate,
-            faults=faults,
-            overload=overload,
-            retention=retention,
-        )
-        for name in names
-    ]
-    results = {
-        res.spec.policy: {
-            app: ComparisonRow.from_summary(res.spec.policy, summary)
-            for app, summary in res.summary.items()
-        }
-        for res in run_grid(cells, workers=workers)
-    }
-    return results[names[0]] if single else results
 
 
 @dataclass(frozen=True)

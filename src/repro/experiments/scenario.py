@@ -1,14 +1,16 @@
 """Declarative scenario specs: (apps × policies × SLAs × presets × seeds).
 
 A :class:`ScenarioSpec` is a picklable, JSON-loadable description of a
-figure-style experiment.  Its :meth:`~ScenarioSpec.cells` compiler is the
-*single* place that turns experiment axes into grid cells
+figure-style experiment, and the one run description of the CLI: every
+run command (``compare``, ``sweep``, ``multiapp``, ``scenario``, ``report``,
+``trace``, ``bench``, ``serve``) turns its flags into one.  Its
+:meth:`~ScenarioSpec.cells` compiler is the *single* place that turns
+experiment axes into grid cells
 (:class:`~repro.experiments.parallel.MultiAppCellSpec`: one env per cell
-for solo runs, every app per cell for co-runs), so
-``run_comparison``, ``run_sla_sweep``, ``run_multi_app`` and the
-``repro scenario`` CLI all flow through one
+for solo runs, every app per cell for co-runs), which run through one
 :func:`~repro.experiments.parallel.run_grid` execution path — serial is
-``workers=1``, not a separate code branch.
+``workers=1``, not a separate code branch.  :meth:`~ScenarioSpec.cell`
+compiles a spec with one value per axis to its one co-run cell.
 
 Example (JSON accepted by ``python -m repro.cli scenario spec.json``)::
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.experiments.parallel import EnvSpec, MultiAppCellSpec
 from repro.faults.plan import FaultPlan
@@ -143,41 +145,6 @@ class ScenarioSpec:
         """Load a spec from a JSON file."""
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-    @classmethod
-    def for_environment(
-        cls,
-        env: EnvSpec,
-        *,
-        policies: Sequence[str],
-        slas: Sequence[float] | None = None,
-        seeds: Sequence[int] = (3,),
-        init_failure_rate: float = 0.0,
-        faults: FaultPlan | None = None,
-        overload: OverloadSpec | None = None,
-        retention: str = "full",
-    ) -> "ScenarioSpec":
-        """Scenario over one already-specified environment recipe.
-
-        The canonical way runners re-expand a built environment into grid
-        cells: every axis not overridden is pinned to the environment's
-        own values.
-        """
-        return cls(
-            apps=(env.app,),
-            policies=tuple(policies),
-            slas=tuple(slas) if slas is not None else (env.sla,),
-            presets=(env.preset,),
-            seeds=tuple(seeds),
-            duration=env.duration,
-            train_duration=env.train_duration,
-            env_seed=env.seed,
-            init_failure_rate=init_failure_rate,
-            faults=faults,
-            overload=overload,
-            retention=retention,
-            azure_trace=env.azure_trace,
-        )
-
     def to_dict(self) -> dict[str, Any]:
         """Round-trippable plain-dict form (JSON-serializable)."""
         return asdict(self)
@@ -212,13 +179,13 @@ class ScenarioSpec:
             for seed in self.seeds
         ]
 
-    def serve_cell(self) -> MultiAppCellSpec:
-        """Compile to the single co-run cell a live serving session hosts.
+    def cell(self) -> MultiAppCellSpec:
+        """Compile to the single co-run cell of a one-run command.
 
-        ``repro serve --scenario`` turns a scenario into *one* live
-        multi-tenant runtime (every app co-deployed, as in a real
-        deployment), so each experiment axis must be pinned to exactly
-        one value.  ``co_run`` is irrelevant here — serving always
+        ``repro serve``, ``bench``, ``report`` and ``trace`` each run
+        *one* multi-tenant simulation (every app co-deployed; a one-app
+        spec is a solo run), so each experiment axis must be pinned to
+        exactly one value.  ``co_run`` is irrelevant here — the cell always
         co-hosts.  :class:`~repro.serving.SimDriver` rejects what the
         live path does not support (fault plans, sharding, telemetry
         tracing).
@@ -227,7 +194,7 @@ class ScenarioSpec:
             values = getattr(self, axis)
             if len(values) != 1:
                 raise ValueError(
-                    f"live serving needs exactly one value on the {axis!r} "
+                    f"a single run needs exactly one value on the {axis!r} "
                     f"axis, got {values!r}"
                 )
         (cell,) = replace(self, co_run=True).cells()

@@ -140,7 +140,6 @@ def test_build_environment_replays_csv_for_eval_only(csv_path):
     # Training history stays synthetic (one replayed day for both would
     # leak the eval arrivals into predictor training).
     assert env.train_counts.sum() != len(env.trace)
-    assert env.spec.azure_trace == str(csv_path)
 
 
 def test_scenario_spec_threads_azure_trace(csv_path):
@@ -154,9 +153,7 @@ def test_scenario_spec_threads_azure_trace(csv_path):
     )
     cells = spec.cells()
     assert all(c.envs[0].azure_trace == str(csv_path) for c in cells)
-    env = EnvSpec(app="image-query", azure_trace=str(csv_path))
-    again = ScenarioSpec.for_environment(env, policies=("on-demand",))
-    assert again.azure_trace == str(csv_path)
+    assert spec.cell().envs[0].azure_trace == str(csv_path)
 
 
 def test_scenario_runs_on_azure_trace_end_to_end(csv_path):

@@ -72,21 +72,23 @@ class TestReportJson:
         assert {"total_cost", "p50_latency", "p99_latency"} <= set(summary)
 
     def test_report_seeds_like_a_grid_cell(self, capsys):
-        """`report` runs the same one-env cell `compare` would: the tenant
-        seed derives from ``--seed + 3`` and the app name."""
-        argv = ["report", "image-query", "--json", "--policy", "grandslam",
-                "--duration", "60", "--seed", "0"]
-        assert main(argv) == 0
-        reported = json.loads(capsys.readouterr().out)
-        cell = run_cell(
-            MultiAppCellSpec(
-                envs=(EnvSpec(app="image-query", duration=60.0, seed=0),),
-                policy="grandslam",
-                sim_seed=3,
+        """`report` runs the same one-env cell `compare` would: env seed
+        ``--seed``, and the tenant seed derives from ``--seed + 3`` and the
+        app name."""
+        for seed in (0, 1):
+            argv = ["report", "image-query", "--json", "--policy", "grandslam",
+                    "--duration", "60", "--seed", str(seed)]
+            assert main(argv) == 0
+            reported = json.loads(capsys.readouterr().out)
+            cell = run_cell(
+                MultiAppCellSpec(
+                    envs=(EnvSpec(app="image-query", duration=60.0, seed=seed),),
+                    policy="grandslam",
+                    sim_seed=seed + 3,
+                )
             )
-        )
-        expected = json.loads(json.dumps(_json_safe(cell.summary["image-query"])))
-        assert reported == expected
+            summary = _json_safe(cell.summary["image-query"])
+            assert reported == json.loads(json.dumps(summary)), seed
 
 
 class TestScenarioJson:

@@ -4,14 +4,11 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.experiments import (
-    build_environment,
-    run_comparison,
-    run_multi_app,
-    run_sla_sweep,
-)
+from repro.cli import _scenario_spec, build_parser, main
+from repro.experiments import ScenarioSpec, build_environment, run_scenario
 from repro.experiments.runners import PAPER_APPS, POLICY_NAMES, ComparisonRow
+
+SMALL = dict(apps=("image-query",), duration=120.0, train_duration=600.0, env_seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -40,29 +37,107 @@ class TestBuildEnvironment:
 
 
 class TestRunners:
-    def test_run_comparison_rows(self, small_env):
-        rows = run_comparison(small_env, ("smiless", "grandslam"))
+    """Comparisons, sweeps and co-runs are scenarios run by `run_scenario`."""
+
+    def test_comparison_rows(self):
+        rows = run_scenario(ScenarioSpec(policies=("smiless", "grandslam"), **SMALL))
         assert [r.policy for r in rows] == ["smiless", "grandslam"]
         for r in rows:
-            assert isinstance(r, ComparisonRow)
-            assert r.total_cost > 0
-            assert 0.0 <= r.violation_ratio <= 1.0
+            assert isinstance(r.row, ComparisonRow)
+            assert r.row.total_cost > 0
+            assert 0.0 <= r.row.violation_ratio <= 1.0
 
-    def test_run_sla_sweep(self, small_env):
-        out = run_sla_sweep(small_env, (1.0, 4.0), "grandslam")
-        assert [sla for sla, _ in out] == [1.0, 4.0]
+    def test_sla_sweep_rows(self):
+        rows = run_scenario(
+            ScenarioSpec(policies=("grandslam",), slas=(1.0, 4.0), **SMALL)
+        )
+        assert [r.sla for r in rows] == [1.0, 4.0]
         # lenient SLA is never more expensive for the slack-driven system
-        assert out[1][1].total_cost <= out[0][1].total_cost * 1.05
+        assert rows[1].row.total_cost <= rows[0].row.total_cost * 1.05
 
-    def test_run_multi_app(self):
-        envs = [
-            build_environment(
-                name, duration=90.0, train_duration=400.0, seed=5 + i
+    def test_co_run_rows(self):
+        spec = ScenarioSpec(
+            apps=("image-query", "voice-assistant"),
+            policies=("grandslam",),
+            co_run=True,
+            duration=90.0,
+            train_duration=400.0,
+            env_seed=5,
+        )
+        rows = run_scenario(spec)
+        assert [r.app for r in rows] == ["image-query", "voice-assistant"]
+
+
+def _row(out: str, label: str) -> str:
+    """The one printed table row with a column equal to ``label``."""
+    (row,) = [line for line in out.splitlines() if label in line.split()]
+    return row
+
+
+def _printed_numbers(summary: dict) -> str:
+    """Cost through p99 latency as a scenario table row prints them."""
+    return (
+        f"${summary['total_cost']:>8.4f} {summary['violation_ratio']:>10.1%} "
+        f"{summary['mean_latency']:>8.2f}s {summary['p99_latency']:>7.2f}s"
+    )
+
+
+class TestSeedRule:
+    """`--seed S`: env seed S for every app, sim seed S + 3, on every command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "image-query"],
+            ["sweep", "image-query"],
+            ["multiapp"],
+            ["report", "image-query"],
+            ["trace", "image-query"],
+            ["bench", "--macro"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_run_command_compiles_one_seed_rule(self, argv):
+        args = build_parser().parse_args([*argv, "--seed", "2"])
+        spec = _scenario_spec(args, apps=PAPER_APPS)
+        assert spec.env_seed == 2
+        assert spec.seeds == (5,)
+        assert {env.seed for cell in spec.cells() for env in cell.envs} == {2}
+
+    def test_compare_prints_what_report_returns(self, capsys):
+        flags = ["--policies", "grandslam", "--duration", "60", "--seed", "1"]
+        assert main(["compare", "image-query", *flags]) == 0
+        row = _row(capsys.readouterr().out, "grandslam")
+        report = ["--policy", "grandslam", "--duration", "60", "--seed", "1"]
+        assert main(["report", "image-query", "--json", *report]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (
+            f"{summary['mean_latency']:>8.2f}s {summary['p99_latency']:>7.2f}s"
+            in row
+        )
+
+    def test_multiapp_prints_the_co_run_scenario(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "apps": list(PAPER_APPS),
+                    "policies": ["grandslam"],
+                    "duration": 60.0,
+                    "env_seed": 0,
+                    "seeds": [3],
+                    "co_run": True,
+                }
             )
-            for i, name in enumerate(("image-query", "voice-assistant"))
-        ]
-        rows = run_multi_app(envs, "grandslam")
-        assert set(rows) == {"image-query", "voice-assistant"}
+        )
+        assert main(["scenario", str(spec_path), "--json"]) == 0
+        cells = json.loads(capsys.readouterr().out)
+        argv = ["multiapp", "--policy", "grandslam", "--duration", "60"]
+        assert main([*argv, "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert [c["app"] for c in cells] == list(PAPER_APPS)
+        for c in cells:
+            assert _printed_numbers(c["summary"]) in _row(out, c["app"])
 
 
 class TestCli:
@@ -114,15 +189,20 @@ class TestCli:
 
         seen = []
 
-        def spy(envs, *args, **kwargs):
-            seen.append([env.app.name for env in envs])
-            return run_multi_app(envs, *args, **kwargs)
+        def spy(spec, **kwargs):
+            seen.append(spec)
+            return run_scenario(spec, **kwargs)
 
-        monkeypatch.setattr(cli, "run_multi_app", spy)
+        monkeypatch.setattr(cli, "run_scenario", spy)
         code = main(["multiapp", "--policy", "grandslam", "--duration", "30"])
         assert code == 0
-        assert seen == [list(PAPER_APPS)]
-        assert "Co-running 3 applications" in capsys.readouterr().out
+        (spec,) = seen
+        assert spec.apps == PAPER_APPS and spec.co_run
+        out = capsys.readouterr().out
+        assert "[co-run]" in out
+        # One row per app, labelled with the app's name.
+        for app in PAPER_APPS:
+            assert _row(out, app).split()[0] == app
 
     def test_compare_command_end_to_end(self, capsys):
         code = main(

@@ -6,23 +6,14 @@ from repro.cli import build_parser
 from repro.experiments import (
     EnvSpec,
     MultiAppCellSpec,
-    build_environment,
-    product_grid,
-    run_comparison,
+    ScenarioSpec,
     run_grid,
-    run_sla_sweep,
+    run_scenario,
 )
 from repro.experiments.parallel import run_cell
 
 POLICIES = ("grandslam", "orion")  # fast, training-free policies
 DURATION = 60.0
-
-
-@pytest.fixture(scope="module")
-def environment():
-    return build_environment(
-        "image-query", preset="steady", sla=2.0, duration=DURATION, seed=0
-    )
 
 
 class TestCellExecution:
@@ -38,10 +29,10 @@ class TestCellExecution:
         assert result.events_per_second > 0
         assert "total_cost" in result.summary["image-query"]
 
-    def test_product_grid_order_and_shape(self):
-        cells = product_grid(
-            ["a1", "a2"], ["p1", "p2"], slas=(1.0, 2.0), seeds=(3,)
-        )
+    def test_scenario_cells_order_and_shape(self):
+        cells = ScenarioSpec(
+            apps=("a1", "a2"), policies=("p1", "p2"), slas=(1.0, 2.0), seeds=(3,)
+        ).cells()
         assert len(cells) == 8
         assert cells[0].envs[0].app == "a1"
         assert [c.policy for c in cells[:2]] == ["p1", "p2"]
@@ -55,26 +46,34 @@ class TestCellExecution:
 
 class TestParallelMatchesSerial:
     def test_run_grid_parallel_bit_identical(self):
-        cells = product_grid(
-            ["image-query"], POLICIES, duration=DURATION
-        )
+        cells = ScenarioSpec(
+            apps=("image-query",), policies=POLICIES, duration=DURATION
+        ).cells()
         serial = run_grid(cells, workers=1)
         parallel = run_grid(cells, workers=2)
         assert [r.spec for r in serial] == [r.spec for r in parallel]
         assert [r.summary for r in serial] == [r.summary for r in parallel]
 
-    def test_run_comparison_workers_bit_identical(self, environment):
-        serial = run_comparison(environment, POLICIES, seed=3)
-        parallel = run_comparison(environment, POLICIES, seed=3, workers=2)
-        assert serial == parallel
-
-    def test_run_sla_sweep_workers_bit_identical(self, environment):
-        slas = (1.0, 4.0)
-        serial = run_sla_sweep(environment, slas, "grandslam", seed=3)
-        parallel = run_sla_sweep(
-            environment, slas, "grandslam", seed=3, workers=2
+    def test_run_comparison_workers_bit_identical(self):
+        # A compare-shaped scenario: one app, several policies.
+        spec = ScenarioSpec(
+            apps=("image-query",), policies=POLICIES, seeds=(3,),
+            duration=DURATION, env_seed=0,
         )
-        assert serial == parallel
+        serial = run_scenario(spec, workers=1)
+        assert run_scenario(spec, workers=2) == serial
+        assert [row.policy for row in serial] == list(POLICIES)
+
+    def test_run_sla_sweep_workers_bit_identical(self):
+        # A sweep-shaped scenario: one app and policy, several SLAs.
+        slas = (1.0, 4.0)
+        spec = ScenarioSpec(
+            apps=("image-query",), policies=("grandslam",), slas=slas,
+            seeds=(3,), duration=DURATION, env_seed=0,
+        )
+        serial = run_scenario(spec, workers=1)
+        assert run_scenario(spec, workers=2) == serial
+        assert [row.sla for row in serial] == list(slas)
 
 
 class TestCliWorkers:

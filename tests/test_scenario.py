@@ -5,13 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import (
-    EnvSpec,
-    ScenarioSpec,
-    build_environment,
-    run_multi_app,
-    run_scenario,
-)
+from repro.experiments import MultiAppCellSpec, ScenarioSpec, run_scenario
+from repro.experiments.parallel import run_cell
 
 FAST = dict(duration=60.0, train_duration=400.0)
 
@@ -117,19 +112,6 @@ class TestCompilation:
         assert len(cells) == 2  # one per policy; apps share each cell
         assert all(len(c.envs) == 2 for c in cells)
 
-    def test_for_environment_pins_env_axes(self):
-        env = EnvSpec(app="amber-alert", preset="diurnal", sla=4.0, duration=90.0)
-        spec = ScenarioSpec.for_environment(env, policies=("smiless",))
-        (cell,) = spec.cells()
-        assert cell.envs == (env,)
-
-    def test_for_environment_sla_override(self):
-        env = EnvSpec(app="amber-alert", sla=4.0)
-        spec = ScenarioSpec.for_environment(
-            env, policies=("smiless",), slas=(1.0, 8.0)
-        )
-        assert [c.envs[0].sla for c in spec.cells()] == [1.0, 8.0]
-
 
 class TestRunScenario:
     def test_solo_end_to_end(self):
@@ -165,32 +147,30 @@ class TestRunScenario:
 
 
 class TestRunMultiApp:
-    def make_envs(self):
-        return [
-            build_environment("image-query", seed=0, **FAST),
-            build_environment("amber-alert", seed=1, **FAST),
-        ]
+    """Multi-app co-runs are co-run scenarios, one row per app."""
+
+    def co_run(self, *policies):
+        return ScenarioSpec(
+            apps=("image-query", "amber-alert"),
+            policies=policies,
+            co_run=True,
+            **FAST,
+        )
 
     def test_single_policy_returns_per_app_rows(self):
-        results = run_multi_app(self.make_envs(), "always-on")
-        assert set(results) == {"image-query", "amber-alert"}
-
-    def test_policy_tuple_returns_nested_mapping(self):
-        results = run_multi_app(self.make_envs(), ("always-on", "on-demand"))
-        assert set(results) == {"always-on", "on-demand"}
-        for rows in results.values():
-            assert set(rows) == {"image-query", "amber-alert"}
+        rows = run_scenario(self.co_run("always-on"))
+        assert [(r.policy, r.app) for r in rows] == [
+            ("always-on", "image-query"),
+            ("always-on", "amber-alert"),
+        ]
 
     def test_parallel_matches_serial(self):
-        envs = self.make_envs()
-        policies = ("always-on", "on-demand")
-        serial = run_multi_app(envs, policies, workers=1)
-        parallel = run_multi_app(envs, policies, workers=2)
-        assert serial == parallel
+        spec = self.co_run("always-on", "on-demand")
+        assert run_scenario(spec, workers=2) == run_scenario(spec, workers=1)
 
     def test_empty_envs_rejected(self):
         with pytest.raises(ValueError):
-            run_multi_app([], "always-on")
+            run_cell(MultiAppCellSpec(envs=(), policy="always-on"))
 
 
 class TestScenarioCLI:

@@ -159,7 +159,7 @@ class TestSubmitLifecycle:
 
 
 class TestServeCellCompilation:
-    def test_serve_cell_pins_single_axes(self):
+    def test_cell_pins_single_axes(self):
         from repro.experiments.scenario import ScenarioSpec
 
         spec = ScenarioSpec(
@@ -169,12 +169,12 @@ class TestServeCellCompilation:
             seeds=(3,),
             overload=OverloadSpec(admission_rate=1.0, admission_burst=2.0),
         )
-        cell = spec.serve_cell()
+        cell = spec.cell()
         assert [e.app for e in cell.envs] == ["image-query", "amber-alert"]
         assert cell.policy == "smiless"
         assert cell.overload.admission_rate == 1.0
 
-    def test_serve_cell_rejects_swept_axes_and_unsupported(self):
+    def test_cell_rejects_swept_axes_and_unsupported(self):
         from repro.experiments.scenario import ScenarioSpec
         from repro.faults.plan import FaultPlan
 
@@ -182,30 +182,30 @@ class TestServeCellCompilation:
         with pytest.raises(ValueError, match="policies"):
             ScenarioSpec(
                 apps=("image-query",), policies=("smiless", "grandslam")
-            ).serve_cell()
+            ).cell()
         with pytest.raises(ValueError, match="slas"):
-            ScenarioSpec(**base, slas=(1.0, 2.0)).serve_cell()
+            ScenarioSpec(**base, slas=(1.0, 2.0)).cell()
         # The compiled cell carries what live serving cannot host, and
         # the driver rejects it before building anything.
         with pytest.raises(ValueError, match="fault plans"):
             SimDriver(
-                ScenarioSpec(**base, faults=FaultPlan()).serve_cell(),
+                ScenarioSpec(**base, faults=FaultPlan()).cell(),
                 horizon=HORIZON,
             )
         with pytest.raises(ValueError, match="sharding"):
             ScenarioSpec(
                 **base, shards=2, retention="sketch"
-            ).serve_cell()
+            ).cell()
         with pytest.raises(ValueError, match="sharding"):
             SimDriver(
                 ScenarioSpec(
                     **base, shards=2, slices_per_app=2, retention="sketch"
-                ).serve_cell(),
+                ).cell(),
                 horizon=HORIZON,
             )
         with pytest.raises(ValueError, match="request log"):
             SimDriver(
-                ScenarioSpec(**base, trace_dir="/tmp/x").serve_cell(),
+                ScenarioSpec(**base, trace_dir="/tmp/x").cell(),
                 horizon=HORIZON,
             )
 

@@ -441,6 +441,28 @@ class TestCliBenchGuards:
         assert "slices_per_app" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sharded_macro_bench_smoke(self, tmp_path, capsys):
+        """`bench --macro --shards 2` writes its record; on a multi-core
+        host the merged metrics passed the 1-shard parity gate (the
+        command exits 1 before writing otherwise)."""
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "sharded.json"
+        code = main(
+            ["bench", "--macro", "--shards", "2", "--invocations", "3000",
+             "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        record = json.loads(out.read_text())
+        assert record["generated_by"] == "repro bench --macro --shards"
+        if record["workers_effective"] > 1:
+            assert record["parity"] == "exact", record
+        else:
+            assert record["parity"].startswith("skipped"), record
+
     def test_sharded_bench_requires_sketch_retention(self, capsys):
         from repro.cli import main
 

@@ -171,7 +171,7 @@ async def _inline_session(args) -> tuple[dict, dict]:
     )
 
     spec = ScenarioSpec.from_json(args.scenario)
-    driver = SimDriver(spec.serve_cell(), horizon=spec.duration)
+    driver = SimDriver(spec.cell(), horizon=spec.duration)
     server = LiveServer(
         driver,
         make_pacer(args.pacing, time_scale=args.time_scale),
