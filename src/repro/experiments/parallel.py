@@ -185,12 +185,7 @@ def _metrics_extras(metrics, *, arrivals: int) -> dict:
     identity when no overload spec or flash crowd is attached).
     """
     return {
-        "completed": metrics.n_completed,
-        "unfinished": metrics.unfinished,
-        "timed_out": metrics.timed_out,
-        "shed": metrics.shed,
-        "rejected": metrics.rejected,
-        "injected_arrivals": metrics.injected_arrivals,
+        **metrics.dispositions(),
         "peak_queue_depth": metrics.peak_queue_depth,
         "arrivals": arrivals,
         "initializations": metrics.initializations,

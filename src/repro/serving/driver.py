@@ -22,8 +22,9 @@ Determinism contract (the replay-parity invariants):
   so equal-time events keep the offline tie-breaking classes: arrivals <
   window ticks < dynamic events, per gateway in registration order.
 - **The serve phase never advances past the horizon**; :meth:`SimDriver
-  .finish` then replays ``Runtime.run``'s exact tail (``run_until`` to
-  the horizon, the bounded drain loop, per-gateway finalization).
+  .finish` then runs ``Runtime.finish``, the same tail ``Runtime.run``
+  ends with (``run_until`` to the horizon, the bounded drain loop,
+  per-gateway finalization).
 """
 
 from __future__ import annotations
@@ -374,7 +375,7 @@ class SimDriver:
 
     # ------------------------------------------------------------- shutdown
     def finish(self) -> "dict[str, RunMetrics]":
-        """Drain and finalize, mirroring ``Runtime.run``'s tail exactly.
+        """Drain and finalize through :meth:`Runtime.finish`.
 
         Any ticket still unresolved after the bounded drain window is
         resolved as ``unfinished`` (the HTTP layer's 504 at shutdown).
@@ -383,18 +384,7 @@ class SimDriver:
             return self._metrics
         if not self._started:
             raise RuntimeError("driver not started; call start() first")
-        events = self.runtime.events
-        events.run_until(self.horizon)
-        deadline = self.horizon + self.runtime.drain_timeout
-        while (
-            any(gw.open_invocations > 0 for gw in self.runtime.gateways)
-            and events.now < deadline
-        ):
-            if not events.step():
-                break
-        self._metrics = {
-            gw.app.name: gw.finalize() for gw in self.runtime.gateways
-        }
+        self._metrics = self.runtime.finish()
         for ticket in list(self._pending.values()):
             self._resolve(ticket, "unfinished")
         self._pending.clear()
@@ -455,15 +445,5 @@ class SimDriver:
         metrics = self.finish()
         return {
             "metrics": {name: m.summary() for name, m in metrics.items()},
-            "counters": {
-                name: {
-                    "completed": m.n_completed,
-                    "unfinished": m.unfinished,
-                    "timed_out": m.timed_out,
-                    "shed": m.shed,
-                    "rejected": m.rejected,
-                    "injected_arrivals": m.injected_arrivals,
-                }
-                for name, m in metrics.items()
-            },
+            "counters": {name: m.dispositions() for name, m in metrics.items()},
         }

@@ -144,14 +144,7 @@ def verify_replay(path: str | Path) -> tuple[ReplayResult, list[str]]:
         metrics = result.metrics.get(app)
         if metrics is None:
             continue
-        replay_counters = {
-            "completed": metrics.n_completed,
-            "unfinished": metrics.unfinished,
-            "timed_out": metrics.timed_out,
-            "shed": metrics.shed,
-            "rejected": metrics.rejected,
-            "injected_arrivals": metrics.injected_arrivals,
-        }
+        replay_counters = metrics.dispositions()
         for key, live_value in live_counters.items():
             if replay_counters.get(key) != live_value:
                 diffs.append(

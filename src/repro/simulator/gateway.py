@@ -285,7 +285,9 @@ class Gateway:
         self._breaker_state: dict[str, str] = {}
         #: fn -> the policy directive saved while a brownout tier is active.
         self._brownout_saved: dict[str, FunctionDirective] = {}
-        #: invocation id -> retry-storm resubmission generation (> 0 only).
+        #: invocation id -> retry-storm resubmission generation (> 0 only);
+        #: dropped once the invocation completes, times out, or is shed or
+        #: rejected (the last two resubmit it as a fresh id).
         self._storm_generation: dict[int, int] = {}
         self._crowd_times: tuple[float, ...] = ()
         self._crowd_seq_base = 0
@@ -305,9 +307,10 @@ class Gateway:
             if app.work_model is not None
             else None
         )
-        # Record retention: "full" keeps every record (historical behaviour),
-        # "sketch" folds completions into streaming accumulators so memory
-        # stays O(1) in the arrival count.  `_sketch` is the hot-path bool.
+        # Record retention picks the latency store: "full" keeps every
+        # invocation record, "sketch" folds completed latencies into
+        # streaming accumulators so memory stays O(1) in the arrival count.
+        # `_sketch` is the hot-path bool.
         self.metrics = RunMetrics(
             app=app.name,
             policy=policy.name,
@@ -488,9 +491,7 @@ class Gateway:
         for fn in self.app.function_names:
             self.pending_stage_demand[fn] += 1
         if not self._sketch:
-            # Sketch retention drops the record at completion time;
-            # arrivals stay implied by the conservation counters
-            # (completed + unfinished + timed_out + shed).
+            # The full latency store keeps every record in arrival order.
             self.metrics.invocations.append(inv)
         self._open_invocations += 1
         self._current_window_count += 1
@@ -806,13 +807,11 @@ class Gateway:
                     handle = self._deadline_timers.pop(inv.invocation_id, None)
                     if handle is not None:
                         handle.cancel()
-                if self._sketch:
-                    # Fold the completed record into the streaming
-                    # accumulators and let it go out of scope — nothing
-                    # retains it past this point.
-                    self.metrics.record_completion(now - inv.arrival)
+                if self._storm_generation:
+                    self._storm_generation.pop(inv.invocation_id, None)
+                latency = now - inv.arrival
+                self.metrics.record_completion(latency)
                 if self._rec is not None:
-                    latency = now - inv.arrival
                     self._rec.emit(
                         InvocationFinished(
                             t=now,
@@ -821,7 +820,7 @@ class Gateway:
                             latency=latency,
                         )
                     )
-                    # Same epsilon as RunMetrics.violation_ratio.
+                    # Same epsilon as RunMetrics.record_completion.
                     if latency > self.app.sla + 1e-9:
                         self._rec.emit(
                             SlaViolation(
@@ -993,6 +992,7 @@ class Gateway:
             return
         now = self.events.now
         self._release_open(inv, now)
+        self._storm_generation.pop(inv.invocation_id, None)
         self.metrics.timed_out += 1
         if self._rec is not None:
             self._rec.emit(

@@ -59,11 +59,11 @@ class InstanceUsage:
 class BillingFold:
     """Exact streaming fold of :class:`InstanceUsage` billing rows.
 
-    The ``retention="sketch"`` replacement for the full ``instances``
-    list: every terminated instance is folded into running sums *in
-    termination order*, so every cost figure is **bit-identical** to the
-    equivalent ``sum(...)`` over a retained list — only O(#functions)
-    state survives, independent of how many instances the run churned.
+    Every run, whatever its retention, folds each terminated instance into
+    running sums *in termination order*: the single source of every cost
+    figure (Fig. 8a's total and split, Fig. 9a's per-backend bill) and of
+    the per-function fleet table.  Only O(#functions) state survives,
+    independent of how many instances the run churned.
     """
 
     total_cost: float = 0.0
@@ -168,19 +168,20 @@ class BillingFold:
 class RunMetrics:
     """Aggregated outcome of one simulation run.
 
-    ``retention`` selects how per-record state is kept:
+    Billing and counts are one exact fold in every run: each terminated
+    instance folds into :attr:`billing` and each completion into
+    ``completed_count`` / ``sla_violation_count`` / ``within_sla_count``.
+    ``retention`` chooses only the latency store:
 
-    - ``"full"`` (default): every completed :class:`Invocation` and every
-      :class:`InstanceUsage` billing row is retained — memory grows with
-      the trace, every statistic is exact.  The historical behaviour.
-    - ``"sketch"``: completed invocations fold into a
-      :class:`~repro.metrics.sketch.QuantileSketch` (latency
-      distribution) plus exact counters, and billing rows fold into a
-      :class:`BillingFold` — memory is O(1) in the arrival count.  Every
-      *non-distributional* figure (costs, counts, violation/availability/
-      goodput ratios) stays bit-identical to a ``full`` run; only latency
-      percentiles and the mean become approximate, within the sketch's
-      documented rank-error bound (see ``docs/performance.md``).
+    - ``"full"`` (default): the arrival-ordered :class:`Invocation`
+      records are kept in ``invocations`` — exact mean, percentiles and
+      histogram; memory grows with the trace.
+    - ``"sketch"``: completed latencies fold into a
+      :class:`~repro.metrics.sketch.QuantileSketch` plus exact
+      :class:`~repro.metrics.sketch.StreamingStats` — memory is O(1) in
+      the arrival count; percentiles are approximate within the sketch's
+      documented rank-error bound (see ``docs/performance.md``), and the
+      mean is a running sum in completion order.
     """
 
     app: str
@@ -188,7 +189,8 @@ class RunMetrics:
     sla: float
     retention: str = "full"
     duration: float = 0.0
-    instances: list[InstanceUsage] = field(default_factory=list)
+    #: Arrival-ordered invocation records (the ``full`` latency store;
+    #: empty under ``sketch``).  Sealing drops the unfinished ones.
     invocations: list[Invocation] = field(default_factory=list)
     unfinished: int = 0
     stage_executions: int = 0
@@ -233,20 +235,18 @@ class RunMetrics:
     peak_queue_depth: int = 0
     pod_samples: list[tuple[float, int, int]] = field(default_factory=list)
     arrival_samples: list[tuple[float, int]] = field(default_factory=list)
-    # -- sketch-retention state (None / 0 under retention="full") -----------
-    #: Completed-invocation count (the sketch-mode stand-in for
-    #: ``len(invocations)``; exact).
+    #: Completed invocations (exact).
     completed_count: int = 0
-    #: Completions past the SLA (exact; same epsilon as violation_ratio).
+    #: Completions past the SLA (exact; 1e-9 epsilon on the SLA).
     sla_violation_count: int = 0
     #: Completions within the SLA (exact complement of the above).
     within_sla_count: int = 0
-    #: Streaming latency distribution (approximate, bounded rank error).
+    #: Streaming latency distribution (``sketch`` only; bounded rank error).
     latency_sketch: QuantileSketch | None = None
-    #: Streaming latency moments (exact count/sum/min/max).
+    #: Streaming latency moments (``sketch`` only; exact count/sum/min/max).
     latency_stats: StreamingStats | None = None
-    #: Streaming billing fold (exact, replaces the ``instances`` list).
-    billing: BillingFold | None = None
+    #: Exact billing fold of every terminated instance.
+    billing: BillingFold = field(default_factory=BillingFold)
 
     def __post_init__(self) -> None:
         if self.retention not in RETENTION_MODES:
@@ -259,94 +259,82 @@ class RunMetrics:
                 self.latency_sketch = QuantileSketch()
             if self.latency_stats is None:
                 self.latency_stats = StreamingStats()
-            if self.billing is None:
-                self.billing = BillingFold()
 
     # -- recording (the gateway's counter-mutation points) -------------------
-    def record_arrival(self, inv: Invocation) -> None:
-        """One invocation arrived.  Retained under ``full``, counted-only
-        under ``sketch`` (arrivals are implied by completion counters plus
-        ``unfinished``/``timed_out`` conservation)."""
-        if self.retention == "full":
-            self.invocations.append(inv)
-
     def record_completion(self, latency: float) -> None:
-        """One invocation completed (sketch mode): fold its latency in.
-
-        Full-retention runs never call this — their latency statistics
-        are computed from the retained records at query time.
-        """
+        """One invocation completed: count it against the SLA, and fold
+        its latency into the sketch store (``full`` keeps the record)."""
         self.completed_count += 1
-        self.latency_sketch.add(latency)
-        self.latency_stats.add(latency)
-        # Same epsilon as violation_ratio()'s vectorized comparison, so
-        # the counters are bit-compatible with the full-retention path.
         if latency > self.sla + 1e-9:
             self.sla_violation_count += 1
         else:
             self.within_sla_count += 1
+        if self.latency_sketch is not None:
+            self.latency_sketch.add(latency)
+            self.latency_stats.add(latency)
 
     def record_instance(self, usage: InstanceUsage) -> None:
-        """One instance terminated: retain its billing row, or fold it."""
-        if self.retention == "full":
-            self.instances.append(usage)
-        else:
-            self.billing.fold(usage)
+        """One instance terminated: fold its billing row."""
+        self.billing.fold(usage)
 
     def seal(self, *, duration: float, unfinished: int) -> None:
         """Seal the run: record the horizon and the still-open invocations.
 
         Extracted from ``Gateway.finalize`` so every finalization path —
         live gateways, trace reconstruction, shard workers — closes a
-        metrics object the same way.  Under ``full`` retention the
-        unfinished records are dropped from the completed list (they are
-        SLA violations by definition and must not pollute latency
-        statistics); sketch retention never appended them.
+        metrics object the same way.  The unfinished records leave the
+        ``full`` latency store (they are SLA violations by definition and
+        must not pollute latency statistics).
         """
         self.duration = duration
         self.unfinished = unfinished
-        if self.retention == "full":
-            self.invocations = [
-                inv for inv in self.invocations if inv.finished
-            ]
+        self.invocations = [inv for inv in self.invocations if inv.finished]
 
     @property
     def n_completed(self) -> int:
-        """Completed invocations, uniform across retention modes."""
-        if self.retention == "sketch":
-            return self.completed_count
-        return len(self.invocations)
+        """Completed invocations."""
+        return self.completed_count
+
+    def dispositions(self) -> dict[str, int]:
+        """Where the offered load went: the five disjoint terminal bins
+        plus the injected-arrival count (the request-log footer keys)."""
+        return {
+            "completed": self.completed_count,
+            "unfinished": self.unfinished,
+            "timed_out": self.timed_out,
+            "shed": self.shed,
+            "rejected": self.rejected,
+            "injected_arrivals": self.injected_arrivals,
+        }
+
+    @property
+    def offered(self) -> int:
+        """Offered load: every arrival, trace or injected, in exactly one
+        of the completed / unfinished / timed-out / shed / rejected bins."""
+        return (
+            self.completed_count + self.unfinished + self.timed_out
+            + self.shed + self.rejected
+        )
 
     # -- cost ----------------------------------------------------------------
     def total_cost(self) -> float:
         """Total dollars billed over the run (Fig. 8a)."""
-        if self.retention == "sketch":
-            return self.billing.total_cost
-        return sum(u.cost for u in self.instances)
+        return self.billing.total_cost
 
     def cost_breakdown(self) -> dict[str, float]:
         """Dollars split into initialization / inference / keep-alive idle."""
-        if self.retention == "sketch":
-            b = self.billing
-            return {
-                "init": b.init_cost,
-                "inference": b.busy_cost,
-                "keepalive": b.idle_cost,
-            }
-        init = sum(u.init_seconds * u.config.unit_cost for u in self.instances)
-        busy = sum(u.busy_seconds * u.config.unit_cost for u in self.instances)
-        idle = sum(u.idle_seconds * u.config.unit_cost for u in self.instances)
-        return {"init": init, "inference": busy, "keepalive": idle}
+        b = self.billing
+        return {
+            "init": b.init_cost,
+            "inference": b.busy_cost,
+            "keepalive": b.idle_cost,
+        }
 
     def backend_cost(self, backend: Backend) -> float:
         """Dollars billed on one backend type."""
-        if self.retention == "sketch":
-            return (
-                self.billing.gpu_cost
-                if backend is Backend.GPU
-                else self.billing.cpu_cost
-            )
-        return sum(u.cost for u in self.instances if u.config.backend is backend)
+        if backend is Backend.GPU:
+            return self.billing.gpu_cost
+        return self.billing.cpu_cost
 
     def cpu_gpu_cost_ratio(self) -> float:
         """CPU-to-GPU billed-cost ratio (Fig. 9a; ``inf`` if no GPU usage)."""
@@ -373,16 +361,10 @@ class RunMetrics:
     def violation_ratio(self) -> float:
         """Fraction of requests exceeding the SLA (unfinished, timed-out,
         shed and rejected invocations count as violations too)."""
-        lost = self.unfinished + self.timed_out + self.shed + self.rejected
-        total = self.n_completed + lost
+        total = self.offered
         if total == 0:
             return 0.0
-        if self.retention == "sketch":
-            violations = self.sla_violation_count + lost
-        else:
-            lat = self.latencies()
-            violations = int((lat > self.sla + 1e-9).sum()) + lost
-        return violations / total
+        return (total - self.within_sla_count) / total
 
     def availability(self) -> float:
         """Fraction of arrivals that completed at all (1.0 on empty runs).
@@ -392,13 +374,8 @@ class RunMetrics:
         (``unfinished``) both count against availability; under overload,
         so do shed and admission-rejected ones.
         """
-        total = (
-            self.n_completed + self.unfinished + self.timed_out
-            + self.shed + self.rejected
-        )
-        if total == 0:
-            return 1.0
-        return self.n_completed / total
+        total = self.offered
+        return self.completed_count / total if total else 1.0
 
     def goodput(self) -> float:
         """Fraction of arrivals served *within* the SLA (1.0 on empty runs).
@@ -407,18 +384,8 @@ class RunMetrics:
         divided by every arrival, including timed-out, unfinished, shed
         and admission-rejected ones.
         """
-        total = (
-            self.n_completed + self.unfinished + self.timed_out
-            + self.shed + self.rejected
-        )
-        if total == 0:
-            return 1.0
-        if self.retention == "sketch":
-            within = self.within_sla_count
-        else:
-            lat = self.latencies()
-            within = int((lat <= self.sla + 1e-9).sum())
-        return within / total
+        total = self.offered
+        return self.within_sla_count / total if total else 1.0
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100].
@@ -446,7 +413,7 @@ class RunMetrics:
 
     def initializations_per_invocation(self) -> float:
         """Mean container initializations per completed invocation."""
-        n = self.n_completed
+        n = self.completed_count
         return self.initializations / n if n else 0.0
 
     # -- fleet dynamics ----------------------------------------------------------
@@ -461,9 +428,9 @@ class RunMetrics:
     def summary(self) -> dict[str, float]:
         """One-line numeric summary used by benches and examples.
 
-        Identical key set across retention modes; under ``sketch`` the
-        latency entries come from the streaming accumulators (NaN on a
-        zero-completion run, exactly like the empty-array path here).
+        Identical key set and float values across retention modes; under
+        ``sketch`` the latency entries come from the streaming accumulators
+        (NaN on a zero-completion run, exactly like the empty-array path).
         """
         if self.retention == "sketch":
             mean_latency = self.latency_stats.mean
@@ -473,7 +440,7 @@ class RunMetrics:
         return {
             "total_cost": self.total_cost(),
             "violation_ratio": self.violation_ratio(),
-            "invocations": float(self.n_completed),
+            "invocations": float(self.completed_count),
             "mean_latency": mean_latency,
             "p50_latency": self.latency_percentile(50),
             "p99_latency": self.latency_percentile(99),

@@ -8,8 +8,6 @@ examples and logs share one renderer.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from repro.simulator.metrics import RunMetrics
@@ -32,19 +30,7 @@ def format_cost_breakdown(metrics: RunMetrics) -> str:
 
 def format_function_table(metrics: RunMetrics) -> str:
     """Per-function fleet summary: instances, billed time, cost, batches."""
-    if metrics.retention == "sketch":
-        # Sketch retention pre-folds exactly this table's rollup.
-        per_fn: dict[str, dict[str, float]] = dict(metrics.billing.per_function)
-    else:
-        per_fn = defaultdict(
-            lambda: {"instances": 0, "lifetime": 0.0, "cost": 0.0, "served": 0}
-        )
-        for usage in metrics.instances:
-            row = per_fn[usage.function]
-            row["instances"] += 1
-            row["lifetime"] += usage.lifetime
-            row["cost"] += usage.cost
-            row["served"] += usage.invocations_served
+    per_fn = metrics.billing.per_function
     lines = [
         f"{'function':<14} {'instances':>9} {'billed':>9} {'cost':>9} {'served':>7}"
     ]
@@ -148,10 +134,7 @@ def format_report(metrics: RunMetrics) -> str:
     if metrics.shed or metrics.rejected:
         # Offered load from the metrics' own accounting (works equally on
         # live counters and on an aggregate()-reconstructed trace view).
-        offered = (
-            metrics.n_completed + metrics.unfinished + metrics.timed_out
-            + metrics.shed + metrics.rejected
-        )
+        offered = metrics.offered
         shed_rate = (metrics.shed + metrics.rejected) / offered if offered else 0.0
         sections.append(
             f"overload absorbed: {metrics.shed} shed from bounded queues, "

@@ -252,14 +252,18 @@ class Runtime:
         return sum(gw.open_invocations for gw in self.gateways)
 
     def run(self) -> dict[str, RunMetrics]:
-        """Serve every gateway's trace to completion; metrics by app name.
+        """Serve every gateway's trace to completion; metrics by app name."""
+        if not self.gateways:
+            raise ValueError("runtime has no gateways; call add_app first")
+        self.setup()
+        return self.finish()
+
+    def finish(self) -> dict[str, RunMetrics]:
+        """Run to the horizon, drain, and finalize every gateway.
 
         The horizon is the longest trace; after it, in-flight invocations
         get a bounded drain window before finalization.
         """
-        if not self.gateways:
-            raise ValueError("runtime has no gateways; call add_app first")
-        self.setup()
         horizon = max(gw.trace.duration for gw in self.gateways)
         self.events.run_until(horizon)
         deadline = horizon + self.drain_timeout

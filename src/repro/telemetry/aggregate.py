@@ -17,11 +17,12 @@ Event-to-counter mapping:
 ``stage_start``       ``started_at``/``instance_id``/``batch``/``cold``;
                       ``stage_executions`` and ``cold_stage_executions``
 ``stage_finish``      ``StageRecord.finished_at``
-``invocation_finished``  ``Invocation.completed_at``
+``invocation_finished``  ``Invocation.completed_at`` and the completion
+                      counters (``RunMetrics.record_completion``)
 ``instance_launched`` ``initializations``
 ``instance_init_failed``  ``failed_initializations``
 ``instance_swapped_in``  ``swap_ins``
-``instance_expired``  one ``InstanceUsage`` billing row
+``instance_expired``  one ``InstanceUsage`` folded into ``billing``
 ``window_tick``       ``arrival_samples`` and ``pod_samples``
 ``run_finished``      ``duration`` and the ``unfinished`` count
 ``execution_failed``  ``failed_executions``
@@ -127,6 +128,7 @@ def aggregate(events: Iterable[SimEvent], app: str | None = None) -> RunMetrics:
             ).finished_at = event.t
         elif isinstance(event, InvocationFinished):
             invocations[event.invocation_id].completed_at = event.t
+            metrics.record_completion(event.latency)
         elif isinstance(event, InstanceLaunched):
             metrics.initializations += 1
         elif isinstance(event, InstanceInitFailed):
@@ -151,7 +153,7 @@ def aggregate(events: Iterable[SimEvent], app: str | None = None) -> RunMetrics:
         elif isinstance(event, FallbackActivated):
             metrics.fallbacks += 1
         elif isinstance(event, InstanceExpired):
-            metrics.instances.append(
+            metrics.record_instance(
                 InstanceUsage(
                     function=event.function,
                     config=HardwareConfig.from_key(event.config),
@@ -170,12 +172,9 @@ def aggregate(events: Iterable[SimEvent], app: str | None = None) -> RunMetrics:
                 (event.t, event.cpu_pods, event.gpu_pods)
             )
         elif isinstance(event, RunFinished):
-            metrics.duration = event.duration
-            metrics.unfinished = event.unfinished
-
-    # Mirror Gateway.finalize: latency stats cover finished invocations
-    # only; in-flight ones survive solely as the `unfinished` counter.
-    metrics.invocations = [inv for inv in metrics.invocations if inv.finished]
+            # Mirror Gateway.finalize: in-flight invocations survive
+            # solely as the `unfinished` counter.
+            metrics.seal(duration=event.duration, unfinished=event.unfinished)
     return metrics
 
 

@@ -23,6 +23,8 @@ from repro.hardware import HardwareConfig
 from repro.policies import AlwaysOnPolicy, OnDemandPolicy
 from repro.policies.base import Policy
 from repro.simulator import FunctionDirective, Runtime
+from repro.telemetry import TraceRecorder
+from repro.telemetry.events import InstanceExpired
 from repro.workload import Trace, poisson_process
 
 
@@ -49,10 +51,10 @@ class RandomDirectivePolicy(Policy):
             )
 
 
-def run_random_scenario(n_functions, seed, rate=0.4, duration=80.0):
+def run_random_scenario(n_functions, seed, rate=0.4, duration=80.0, recorder=None):
     app = random_dag(n_functions, rng=seed)
     trace = poisson_process(rate, duration, rng=seed + 1)
-    rt = Runtime()
+    rt = Runtime(recorder=recorder)
     rt.add_app(app, trace, RandomDirectivePolicy(seed + 2), seed=seed + 3)
     return app, trace, rt, rt.run()[app.name]
 
@@ -61,14 +63,17 @@ class TestEngineInvariants:
     @given(n=st.integers(1, 6), seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
     def test_billing_conservation(self, n, seed):
-        _, _, _, m = run_random_scenario(n, seed)
-        for usage in m.instances:
+        rec = TraceRecorder()
+        _, _, _, m = run_random_scenario(n, seed, recorder=rec)
+        expired = [e for e in rec if isinstance(e, InstanceExpired)]
+        for usage in expired:
             assert usage.lifetime >= -1e-9
             split = usage.init_seconds + usage.busy_seconds + usage.idle_seconds
             assert split == pytest.approx(usage.lifetime, abs=1e-6)
             assert usage.cost == pytest.approx(
-                usage.lifetime * usage.config.unit_cost
+                usage.lifetime * HardwareConfig.from_key(usage.config).unit_cost
             )
+        assert m.billing.instances == len(expired)
 
     @given(n=st.integers(1, 6), seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)

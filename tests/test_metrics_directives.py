@@ -39,33 +39,35 @@ def make_invocation(arrival=0.0, latency=1.0):
 class TestRunMetricsAccounting:
     def test_total_and_backend_costs(self):
         m = RunMetrics(app="a", policy="p", sla=2.0)
-        m.instances = [
+        usages = [
             make_usage(config=HardwareConfig.cpu(2)),
             make_usage(config=HardwareConfig.gpu(0.2)),
         ]
-        assert m.total_cost() == pytest.approx(
-            sum(u.cost for u in m.instances)
-        )
-        assert m.backend_cost(Backend.CPU) == pytest.approx(m.instances[0].cost)
-        assert m.backend_cost(Backend.GPU) == pytest.approx(m.instances[1].cost)
+        for usage in usages:
+            m.record_instance(usage)
+        assert m.total_cost() == pytest.approx(sum(u.cost for u in usages))
+        assert m.backend_cost(Backend.CPU) == pytest.approx(usages[0].cost)
+        assert m.backend_cost(Backend.GPU) == pytest.approx(usages[1].cost)
         assert m.cpu_gpu_cost_ratio() == pytest.approx(
-            m.instances[0].cost / m.instances[1].cost
+            usages[0].cost / usages[1].cost
         )
 
     def test_cpu_gpu_ratio_without_gpu(self):
         m = RunMetrics(app="a", policy="p", sla=2.0)
-        m.instances = [make_usage()]
+        m.record_instance(make_usage())
         assert m.cpu_gpu_cost_ratio() == float("inf")
 
     def test_cost_breakdown_sums_to_total(self):
         m = RunMetrics(app="a", policy="p", sla=2.0)
-        m.instances = [make_usage(), make_usage(lifetime=5.0, busy=1.0, init=0.5)]
+        m.record_instance(make_usage())
+        m.record_instance(make_usage(lifetime=5.0, busy=1.0, init=0.5))
         parts = m.cost_breakdown()
         assert sum(parts.values()) == pytest.approx(m.total_cost())
 
     def test_violation_ratio_counts_unfinished(self):
         m = RunMetrics(app="a", policy="p", sla=2.0)
-        m.invocations = [make_invocation(latency=1.0), make_invocation(latency=3.0)]
+        for latency in (1.0, 3.0):
+            m.record_completion(latency)
         m.unfinished = 2
         # 1 violating completed + 2 unfinished over 4 total
         assert m.violation_ratio() == pytest.approx(3 / 4)
@@ -90,7 +92,8 @@ class TestRunMetricsAccounting:
         m.stage_executions = 10
         m.cold_stage_executions = 3
         m.initializations = 6
-        m.invocations = [make_invocation() for _ in range(3)]
+        for _ in range(3):
+            m.record_completion(1.0)
         assert m.reinit_fraction() == pytest.approx(0.3)
         assert m.initializations_per_invocation() == pytest.approx(2.0)
 

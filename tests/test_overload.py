@@ -543,6 +543,28 @@ class TestRetryStorm:
         )
         assert rejected_t == [1.01, 1.02, 2.01, 2.02, 3.01, 3.02]
 
+    @pytest.mark.parametrize("deadline_factor", [None, 0.5])
+    def test_generation_map_empty_at_run_end(self, deadline_factor):
+        """Resubmissions that complete (or time out, with a deadline) drop
+        their generation entry; nothing survives the run."""
+        app = linear_pipeline(1, models=("IR",))
+        trace = Trace([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0], duration=60.0)
+        faults = FaultPlan(
+            retry_storms=(RetryStorm(resubmits=3, delay=1.5),),
+            resilience=ResilienceSpec(deadline_factor=deadline_factor),
+        )
+        rt = Runtime(
+            faults=faults,
+            overload=OverloadSpec(admission_rate=0.5, admission_burst=1.0),
+        )
+        gateway = rt.add_app(app, trace, OnDemandPolicy(), seed=0)
+        m = rt.run()[app.name]
+        assert m.injected_arrivals > 0 and m.n_completed > 0
+        if deadline_factor is not None:
+            assert m.timed_out > 0
+        assert_conserved_extended(trace, m)
+        assert gateway._storm_generation == {}
+
     def test_storm_outside_window_is_inert(self):
         app = linear_pipeline(1, models=("IR",))
         trace = Trace([1.0, 1.01], duration=30.0)

@@ -42,15 +42,15 @@ def inv(i, arrival, latency):
 
 def make_metrics() -> RunMetrics:
     m = RunMetrics(app="demo", policy="unit", sla=2.0, duration=100.0)
-    m.instances = [
+    for u in (
         usage("A", HardwareConfig.cpu(2), 40.0, 2.0, 10.0, 5),
         usage("A", HardwareConfig.cpu(2), 10.0, 2.0, 2.0, 1),
         usage("B", HardwareConfig.gpu(0.3), 20.0, 4.0, 8.0, 6),
-    ]
-    m.invocations = [
-        inv(i, float(i), lat)
-        for i, lat in enumerate((0.5, 1.0, 1.5, 1.5, 2.5, 4.0))
-    ]
+    ):
+        m.record_instance(u)
+    for i, lat in enumerate((0.5, 1.0, 1.5, 1.5, 2.5, 4.0)):
+        m.invocations.append(inv(i, float(i), lat))
+        m.record_completion(lat)
     m.unfinished = 1
     m.stage_executions = 12
     m.cold_stage_executions = 3

@@ -16,18 +16,26 @@ import math
 import numpy as np
 import pytest
 
-from repro.dag import image_query
+from tests.test_resilience import FixedConfigPolicy
+
+from repro.dag import image_query, linear_pipeline
 from repro.experiments.parallel import EnvSpec, MultiAppCellSpec, run_cell
 from repro.experiments.runners import build_environment
 from repro.experiments.scenario import ScenarioSpec
-from repro.faults.plan import ExecutionFault, FaultPlan, ResilienceSpec
-from repro.hardware import Backend
+from repro.faults.plan import (
+    ExecutionFault,
+    FaultPlan,
+    FlashCrowd,
+    ResilienceSpec,
+)
+from repro.hardware import Backend, HardwareConfig
 from repro.metrics import QuantileSketch
+from repro.overload import OverloadSpec
 from repro.simulator import Runtime
 from repro.simulator.metrics import RunMetrics
 from repro.telemetry.events import from_dict, to_dict, validate_event
 from repro.telemetry.recorder import TraceRecorder
-from repro.workload import Trace
+from repro.workload import Trace, constant_rate_process
 
 #: Summary fields that must be bit-identical between retention modes.
 #: Latency percentiles are included too: these runs stay inside the
@@ -65,16 +73,26 @@ COUNTERS = (
 )
 
 
-def _run(env, policy: str, retention: str, *, faults=None) -> RunMetrics:
-    rt = Runtime(faults=faults, retention=retention)
+def _run(
+    env, policy: str, retention: str, *, faults=None, overload=None
+) -> RunMetrics:
+    rt = Runtime(faults=faults, overload=overload, retention=retention)
     rt.add_app(env.app, env.trace, env.make_policy(policy), seed=3)
     return rt.run()[env.app.name]
 
 
-def assert_equivalent(full: RunMetrics, sketch: RunMetrics) -> None:
+def assert_equivalent(
+    full: RunMetrics, sketch: RunMetrics, *, mean_rel_tol: float = 0.0
+) -> None:
+    """``mean_rel_tol`` > 0 compares ``mean_latency`` within rounding: the
+    mean belongs to the latency store, an arrival-ordered numpy mean under
+    ``full`` and a completion-ordered running sum under ``sketch``."""
     fs, ss = full.summary(), sketch.summary()
     for key in EXACT_FIELDS:
         a, b = fs[key], ss[key]
+        if key == "mean_latency" and mean_rel_tol:
+            assert math.isclose(a, b, rel_tol=mean_rel_tol), (key, a, b)
+            continue
         assert a == b or (math.isnan(a) and math.isnan(b)), (
             f"{key}: full={a!r} sketch={b!r}"
         )
@@ -84,9 +102,10 @@ def assert_equivalent(full: RunMetrics, sketch: RunMetrics) -> None:
     assert full.cost_breakdown() == sketch.cost_breakdown()
     assert full.backend_cost(Backend.CPU) == sketch.backend_cost(Backend.CPU)
     assert full.backend_cost(Backend.GPU) == sketch.backend_cost(Backend.GPU)
-    # The point of sketch mode: no per-invocation or per-instance records.
+    # Billing is one exact fold in both modes; retention only picks the
+    # latency store, and sketch mode keeps no per-invocation records.
+    assert full.billing.to_state() == sketch.billing.to_state()
     assert sketch.invocations == []
-    assert sketch.instances == []
     assert len(full.invocations) == full.n_completed
 
 
@@ -121,6 +140,47 @@ class TestChaosRunParity:
         sketch = _run(env, "grandslam", "sketch", faults=plan)
         assert full.stage_retries > 0
         assert_equivalent(full, sketch)
+
+
+class TestOverloadRunParity:
+    def test_shedding_admission_and_flash_crowd_match(self, env):
+        # A flash crowd overruns token-bucket admission and the bounded
+        # queues: rejected, shed and injected arrivals all move, and the
+        # completions stay inside the sketch's exact regime.  Overload
+        # reorders completions against arrivals, so the two latency
+        # stores sum the mean in different orders (last-ulp differences).
+        faults = FaultPlan(
+            flash_crowds=(FlashCrowd(rate=20.0, start=40.0, end=44.0),)
+        )
+        overload = OverloadSpec(
+            queue_limit=4,
+            shed_policy="deadline-aware",
+            admission_rate=5.0,
+            admission_burst=5.0,
+        )
+        full = _run(env, "grandslam", "full", faults=faults, overload=overload)
+        sketch = _run(
+            env, "grandslam", "sketch", faults=faults, overload=overload
+        )
+        assert full.shed > 0 and full.rejected > 0
+        assert full.injected_arrivals > 0
+        assert full.n_completed <= sketch.latency_sketch.compression
+        assert_equivalent(full, sketch, mean_rel_tol=1e-12)
+
+
+class TestSummaryTypes:
+    def test_every_value_is_float_when_a_backend_bills_nothing(self):
+        app = linear_pipeline(1, models=("IR",))
+        trace = constant_rate_process(2.0, 30.0, offset=1.0)
+        for retention in ("full", "sketch"):
+            rt = Runtime(retention=retention)
+            rt.add_app(
+                app, trace, FixedConfigPolicy(HardwareConfig.cpu(4)), seed=0
+            )
+            summary = rt.run()[app.name].summary()
+            assert summary["gpu_cost"] == 0.0 < summary["cpu_cost"]
+            for key, value in summary.items():
+                assert type(value) is float, (retention, key, value)
 
 
 class TestZeroCompletionRegression:

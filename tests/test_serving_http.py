@@ -311,6 +311,47 @@ class TestClosedLoopRecordReplay:
         table = format_request_audit(result.parsed.responses)
         assert "rejected" in table and "completed" in table
 
+    def test_inline_loadgen_smoke_then_cli_replay(self, tmp_path, capsys):
+        """The serving closed-loop smoke: ``loadgen --inline`` serves a
+        smiless co-run behind token-bucket admission, requires 429s, 200s
+        and replay parity, then ``repro serve --replay`` re-verifies the
+        captured log."""
+        from repro.cli import main
+
+        spec_path = tmp_path / "serve_smoke_spec.json"
+        log_path = tmp_path / "serve_smoke_log.jsonl"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "apps": ["image-query", "amber-alert"],
+                    "policies": "smiless",
+                    "slas": 2.0,
+                    "presets": "steady",
+                    "seeds": 3,
+                    "duration": 150.0,
+                    "train_duration": 600.0,
+                    "overload": {"admission_rate": 0.5, "admission_burst": 2.0},
+                }
+            )
+        )
+        argv = [
+            "--inline",
+            "--scenario", str(spec_path),
+            "--requests", "200",
+            "--concurrency", "8",
+            "--rate", "200",
+            "--seed", "7",
+            "--log", str(log_path),
+            "--verify-replay", "--expect-429", "--expect-200",
+        ]
+        assert loadgen.main(argv) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["replay_parity"] == "ok"
+        assert stats["status"]["429"] > 0 and stats["status"]["200"] > 0
+
+        assert main(["serve", "--replay", str(log_path)]) == 0
+        assert "replay parity: OK" in capsys.readouterr().out
+
     def test_cli_replay_parity_ok_and_tampered(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -16,6 +16,8 @@ from repro.hardware import Backend, HardwareConfig
 from repro.policies import AlwaysOnPolicy, OnDemandPolicy
 from repro.policies.base import Policy
 from repro.simulator import Cluster, FunctionDirective, Runtime
+from repro.telemetry import TraceRecorder
+from repro.telemetry.events import InstanceExpired
 from repro.workload import Trace, constant_rate_process
 
 
@@ -211,11 +213,15 @@ class TestBatching:
         idle instance immediately; the stragglers coalesce into one batch."""
         app = linear_pipeline(1, models=("IR",))
         trace = Trace([30.0, 30.0, 30.0], duration=60.0)
-        m = run(app, trace, self.BatchPolicy(batch=4))
+        rec = TraceRecorder()
+        rt = Runtime(recorder=rec)
+        rt.add_app(app, trace, self.BatchPolicy(batch=4), seed=0)
+        m = rt.run()[app.name]
         batches = sorted(inv.stages["f0-IR"].batch for inv in m.invocations)
         assert batches == [1, 2, 2]
         assert m.stage_executions == 3
-        assert sum(u.batches_served for u in m.instances) == 2
+        expired = [e for e in rec if isinstance(e, InstanceExpired)]
+        assert sum(e.batches_served for e in expired) == 2
 
     def test_batch_limit_respected(self):
         app = linear_pipeline(1, models=("IR",))
