@@ -1,14 +1,12 @@
 """Declarative fault-injection plane (see ``docs/robustness.md``).
 
-A :class:`FaultPlan` is a JSON-loadable, seed-deterministic chaos
-schedule — machine outages, mid-flight execution faults, latency
-stragglers, init-failure bursts — plus the :class:`ResilienceSpec` that
-parameterizes the gateway machinery absorbing it (retries with backoff,
-crash-loop caps, deadlines, CPU fallback).  Attach a plan to a
-:class:`~repro.simulator.runtime.Runtime`, a simulator facade, a
-:class:`~repro.experiments.scenario.ScenarioSpec`, or any runner / CLI
-entry point; with no plan attached every fault code path is skipped and
-runs are bit-identical to the pre-fault engine.
+A :class:`FaultPlan` (:mod:`repro.faults.plan`) is a JSON-loadable,
+seed-deterministic chaos schedule plus the :class:`ResilienceSpec` that
+absorbs it.  Attach it to a :class:`~repro.simulator.runtime.Runtime`, a
+:class:`~repro.experiments.scenario.ScenarioSpec` or the CLI
+(``--faults``); each gateway then runs a
+:class:`~repro.faults.plane.FaultPlane` built from it.  With no plan
+attached every fault code path is skipped.
 """
 
 from repro.faults.plan import (

@@ -1,14 +1,12 @@
 """Overload-resilience plane (see ``docs/robustness.md``).
 
-An :class:`OverloadSpec` is a JSON-loadable, seed-deterministic
-description of how a gateway defends itself against its own traffic —
-bounded per-function queues with pluggable shedding policies, per-app
-token-bucket admission control, per-function circuit breakers, and
-brownout degradation tiers.  Attach a spec to a
-:class:`~repro.simulator.runtime.Runtime`, a simulator facade, a
-:class:`~repro.experiments.scenario.ScenarioSpec`, or any runner / CLI
-entry point (``--overload``); with no spec attached every overload code
-path is skipped and runs are bit-identical to the pre-overload engine.
+An :class:`OverloadSpec` (:mod:`repro.overload.spec`) is a JSON-loadable,
+seed-deterministic description of how a gateway defends itself against
+its own traffic.  Attach it to a :class:`~repro.simulator.runtime.Runtime`,
+a :class:`~repro.experiments.scenario.ScenarioSpec` or the CLI
+(``--overload``); each gateway then runs an
+:class:`~repro.overload.plane.OverloadPlane` built from it.  With no spec
+attached every overload code path is skipped.
 """
 
 from repro.overload.spec import SHED_POLICIES, OverloadSpec, TokenBucket

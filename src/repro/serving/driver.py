@@ -126,11 +126,6 @@ class LiveGateway(Gateway):
     def _arrival_capacity(self) -> int:
         return DEFAULT_CAPACITY
 
-    def _schedule_arrival(self, index: int) -> None:
-        # ``setup`` streams the first trace arrival whenever capacity is
-        # non-zero; live arrivals come from :meth:`inject` instead.
-        return
-
     def inject(
         self,
         t: float,
@@ -393,7 +388,8 @@ class SimDriver:
     # ------------------------------------------------------------- reporting
     def retry_after(self, app: str) -> float:
         """Simulated seconds until the app's token bucket refills one token."""
-        bucket = self.gateways[app]._admission
+        overload = self.gateways[app].overload_plane
+        bucket = overload.bucket if overload is not None else None
         if bucket is None:
             return 0.0
         deficit = max(0.0, 1.0 - bucket.tokens)

@@ -272,7 +272,7 @@ class TestAdmissionPartition:
         assert driver.retry_after("image-query") == 0.0
         driver.submit("image-query")
         driver.advance_while_busy(max_steps=100_000)
-        bucket = driver.gateways["image-query"]._admission
+        bucket = driver.gateways["image-query"].overload_plane.bucket
         expected = max(0.0, 1.0 - bucket.tokens) / rate
         assert driver.retry_after("image-query") == pytest.approx(expected)
 
