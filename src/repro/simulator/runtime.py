@@ -121,10 +121,9 @@ class Runtime:
         self.recorder: "Recorder" = (
             recorder if recorder is not None else NullRecorder()
         )
+        # Fault plan and overload spec: run-wide, but each gateway builds
+        # its own FaultPlane / OverloadPlane (per-app state) from them.
         self.faults = faults
-        # Overload-resilience plane (bounded queues, admission control,
-        # circuit breakers, brownout; see repro.overload).  Shared by every
-        # gateway, though each keeps its own per-app token bucket.
         self.overload = overload
         # Per-warmup initialization failure probability and record
         # retention ("full" or "sketch"): run-wide, so every gateway
