@@ -107,7 +107,7 @@ def test_macro_bench(tmp_path):
             f"rss={record['peak_rss_mb']:.0f}MB"
         )
         # The policy path at macro scale: a short smiless co-run must
-        # complete, exercising prediction caching, vectorized
+        # complete, exercising streamed prediction, vectorized
         # co-optimization and directive reuse under the flood preset.
         smiless = _run_bench(
             20_000, tmp_path / "macro_smiless_smoke.json", policy="smiless"

@@ -159,8 +159,9 @@ class SMIlessPolicy(Policy):
     def _reset_run_state(self) -> None:
         """Reset per-run incremental state (fresh at registration).
 
-        The gap tracker and prediction memo assume the count history they
-        scan is append-only; registration starts a new history.
+        The gap tracker, prediction memo and predictor streams assume the
+        count history they follow is append-only; registration starts a
+        new history.
         """
         # Incremental gap tracker: gaps between non-empty windows, extended
         # by scanning only the yet-unseen suffix of the count history
@@ -173,6 +174,12 @@ class SMIlessPolicy(Policy):
         # window ticks, so all predictions are constant while its length is.
         self._pred_win = -1
         self._pred_cache: dict[str, float | int] = {}
+        # One predictor stream per run history.  The streams live here, not
+        # on the predictors: ``_PREDICTOR_CACHE`` shares one predictor
+        # instance across every application of a co-run.
+        inv, it = self.invocation_predictor, self.interarrival_predictor
+        self._inv_stream = inv.stream() if inv is not None and inv.trained else None
+        self._it_stream = it.stream() if it is not None and it.trained else None
 
     # -- predictor training -------------------------------------------------
     def _train(self, counts: np.ndarray, seed: int) -> None:
@@ -189,7 +196,9 @@ class SMIlessPolicy(Policy):
         """Predicted gap to the next invocation (seconds)."""
         return self._it_from_gaps(gaps_from_counts(counts), counts)
 
-    def _it_from_gaps(self, gaps: np.ndarray, counts: np.ndarray) -> float:
+    def _it_from_gaps(
+        self, gaps: np.ndarray, counts: np.ndarray, stream=None
+    ) -> float:
         p = self.interarrival_predictor
         if (
             p is not None
@@ -197,7 +206,7 @@ class SMIlessPolicy(Policy):
             and gaps.size >= p.gap_window
             and counts.size >= p.count_window
         ):
-            return p.predict_next(gaps, counts)
+            return p.predict_next(gaps, counts, stream=stream)
         if gaps.size:
             # Conservative (low-quantile) fallback: under-estimating IT makes
             # pre-warming early, which costs a little idle time; the paper's
@@ -256,9 +265,9 @@ class SMIlessPolicy(Policy):
 
         Keyed on the history length: the history is append-only and the
         predictors' weights are frozen during a run, so every prediction
-        is a pure function of the (length-identified) history.  Values are
-        computed by the exact same code paths as the public ``predict_*``
-        methods, so cached and uncached results are bit-identical.
+        is a pure function of the (length-identified) history.  Values
+        come from the run's predictor streams, which are bitwise equal to
+        the one-shot forward of the public ``predict_*`` methods.
         """
         if counts.size != self._pred_win:
             self._pred_win = counts.size
@@ -267,19 +276,23 @@ class SMIlessPolicy(Policy):
         if val is None:
             gaps = self._gaps(counts)
             if kind == "it":
-                val = self._it_from_gaps(gaps, counts)
+                val = self._it_from_gaps(gaps, counts, self._it_stream)
             elif kind == "it_upper":
                 val = self._it_upper_from_gaps(gaps, counts)
             else:
-                val = self.predict_invocations(counts)
+                val = self.predict_invocations(counts, self._inv_stream)
             self._pred_cache[kind] = val
         return val
 
-    def predict_invocations(self, counts: np.ndarray) -> int:
-        """Predicted invocation count for the next window."""
+    def predict_invocations(self, counts: np.ndarray, stream=None) -> int:
+        """Predicted invocation count for the next window.
+
+        ``stream`` is a stream of the invocation predictor that has only
+        ever seen ``counts`` (the policy passes its run stream).
+        """
         p = self.invocation_predictor
         if p is not None and p.trained and counts.size >= p.window:
-            return max(0, p.predict_next(counts))
+            return max(0, p.predict_next(counts, stream=stream))
         if counts.size == 0:
             return 0
         if counts.size == 1:

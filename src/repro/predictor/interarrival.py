@@ -15,7 +15,7 @@ magnitude more often (Fig. 12b).
 
 from __future__ import annotations
 
-import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.predictor.lstm import (
     Adam,
     DenseLayer,
     LSTMLayer,
+    WindowStream,
     asymmetric_squared_error,
 )
 from repro.utils.rng import ensure_rng
@@ -38,8 +39,11 @@ def gaps_from_counts(counts: np.ndarray, window: float = 1.0) -> np.ndarray:
     return np.diff(nz).astype(float) * window
 
 
-#: Entries kept in a predictor's prediction memo before it is reset.
-_PREDICT_MEMO_LIMIT = 4096
+class InterArrivalStream(NamedTuple):
+    """Window streams over one run's gap and count histories."""
+
+    gaps: WindowStream
+    counts: WindowStream | None  # None for the single-input ablation
 
 
 class InterArrivalPredictor:
@@ -87,10 +91,8 @@ class InterArrivalPredictor:
         self._gap_scale = 1.0
         self._count_scale = 1.0
         self.trained = False
-        # predict_next memo: keyed on (weights version, history-tail digest).
-        # Any training step invalidates it by bumping the version.
+        # Bumped by every training step; a stream made before it is stale.
         self._weights_version = 0
-        self._predict_memo: dict[tuple[int, bytes], float] = {}
 
     # -- dataset construction ---------------------------------------------------
     def build_dataset(
@@ -138,7 +140,6 @@ class InterArrivalPredictor:
                 self._train_batch(G[idx], C[idx], y[idx])
         self.trained = True
         self._weights_version += 1
-        self._predict_memo.clear()
         return self
 
     def _train_batch(self, gb: np.ndarray, cb: np.ndarray, yb: np.ndarray) -> float:
@@ -192,63 +193,66 @@ class InterArrivalPredictor:
                 idx = order[start : start + self.batch_size]
                 self._train_batch(G[idx], C[idx], y[idx])
         self._weights_version += 1
-        self._predict_memo.clear()
         return self
 
     # -- inference ------------------------------------------------------------
+    def stream(self) -> InterArrivalStream:
+        """Window streams over one append-only gap/count history pair.
+
+        Pass it to every :meth:`predict_next` call on those histories: the
+        gap window then takes one batched LSTM step per new gap and the
+        count window one per new count window, instead of a full forward
+        per call.  It is valid until the next ``fit``/``partial_fit``.
+        """
+        if not self.trained:
+            raise RuntimeError("predictor must be fit() before streaming")
+        version = self._weights_version
+        gaps = WindowStream(self.gap_lstm, self.gap_window, self._gap_scale, version)
+        counts = None
+        if self.count_lstm is not None:
+            counts = WindowStream(
+                self.count_lstm, self.count_window, self._count_scale, version
+            )
+        return InterArrivalStream(gaps, counts)
+
     def predict_next(
         self,
         gap_history: np.ndarray,
-        count_history: np.ndarray,
+        count_history: np.ndarray | None,
         *,
-        use_cache: bool = True,
+        stream: InterArrivalStream | None = None,
     ) -> float:
         """Predicted next inter-arrival time in seconds (floored at one window).
 
-        The forward pass only consumes the last ``gap_window`` gaps and the
-        last ``count_window`` counts, so repeated calls with an unchanged
-        history tail are memoized on (weights version, tail digest); the
-        cached value is bit-identical to the uncached forward pass.
+        Only the last ``gap_window`` gaps and ``count_window`` counts are
+        used.  With ``stream`` (from :meth:`stream`, fed only these
+        histories) the LSTM states come from its windows; the result is
+        bitwise equal to the one-shot forward.
         """
         if not self.trained:
             raise RuntimeError("predictor must be fit() before prediction")
-        gaps = np.asarray(gap_history, dtype=float)
-        if gaps.size < self.gap_window:
+        if len(gap_history) < self.gap_window:
             raise ValueError(
-                f"need >= {self.gap_window} past gaps, got {gaps.size}"
+                f"need >= {self.gap_window} past gaps, got {len(gap_history)}"
             )
-        g_tail = np.ascontiguousarray(gaps[-self.gap_window :])
-        c_tail = None
-        if self.count_lstm is not None:
-            cnts = np.asarray(count_history, dtype=float)
-            if cnts.size < self.count_window:
-                raise ValueError(
-                    f"need >= {self.count_window} past counts, got {cnts.size}"
+        if self.count_lstm is not None and len(count_history) < self.count_window:
+            raise ValueError(
+                f"need >= {self.count_window} past counts, got {len(count_history)}"
+            )
+        if stream is None:
+            g = np.asarray(gap_history[-self.gap_window :], dtype=float)
+            merged = self.gap_lstm.last_hidden((g / self._gap_scale)[None, :, None])
+            if self.count_lstm is not None:
+                c = np.asarray(count_history[-self.count_window :], dtype=float)
+                hc = self.count_lstm.last_hidden((c / self._count_scale)[None, :, None])
+                merged = np.concatenate([merged, hc], axis=1)
+        else:
+            stream.gaps.check(self.gap_lstm, self._weights_version)
+            merged = stream.gaps.feed(gap_history)
+            if self.count_lstm is not None:
+                merged = np.concatenate(
+                    [merged, stream.counts.feed(count_history)], axis=1
                 )
-            c_tail = np.ascontiguousarray(cnts[-self.count_window :])
-        if use_cache:
-            h = hashlib.blake2b(g_tail.tobytes(), digest_size=16)
-            if c_tail is not None:
-                h.update(c_tail.tobytes())
-            key = (self._weights_version, h.digest())
-            cached = self._predict_memo.get(key)
-            if cached is not None:
-                return cached
-        pred = self._forward_tails(g_tail, c_tail)
-        if use_cache:
-            if len(self._predict_memo) > _PREDICT_MEMO_LIMIT:
-                self._predict_memo.clear()
-            self._predict_memo[key] = pred
-        return pred
-
-    def _forward_tails(self, g_tail: np.ndarray, c_tail: np.ndarray | None) -> float:
-        g = (g_tail / self._gap_scale)[None, :, None]
-        merged = self.gap_lstm.last_hidden(g)
-        if self.count_lstm is not None:
-            c = (c_tail / self._count_scale)[None, :, None]
-            merged = np.concatenate(
-                [merged, self.count_lstm.last_hidden(c)], axis=1
-            )
         pred = float(self.head.forward(np.tanh(merged))[0, 0]) * self._gap_scale
         return max(self.window_seconds, pred)
 

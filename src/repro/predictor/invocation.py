@@ -10,7 +10,6 @@ for residual under-estimation (§VII-C2).
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -19,6 +18,7 @@ from repro.predictor.lstm import (
     Adam,
     DenseLayer,
     LSTMLayer,
+    WindowStream,
     make_windows,
     softmax,
     softmax_cross_entropy,
@@ -28,9 +28,6 @@ from repro.utils.validation import check_positive
 
 #: Compensation added to the bucket upper bound (§VII-C2: "+3 %").
 DEFAULT_COMPENSATION = 0.03
-
-#: Entries kept in a predictor's prediction memo before it is reset.
-_PREDICT_MEMO_LIMIT = 4096
 
 
 class InvocationPredictor:
@@ -79,10 +76,8 @@ class InvocationPredictor:
         self.optimizer = Adam(params, lr=lr)
         self._scale = 1.0
         self.trained = False
-        # predict_next memo: keyed on (weights version, history-tail digest).
-        # Any training step invalidates it by bumping the version.
+        # Bumped by every training step; a stream made before it is stale.
         self._weights_version = 0
-        self._predict_memo: dict[tuple[int, bytes], int] = {}
 
     # -- bucketing ------------------------------------------------------------
     def bucket_of(self, count: int) -> int:
@@ -115,7 +110,6 @@ class InvocationPredictor:
                 self._train_batch(Xn[idx], labels[idx])
         self.trained = True
         self._weights_version += 1
-        self._predict_memo.clear()
         return self
 
     def _train_batch(self, xb: np.ndarray, yb: np.ndarray) -> float:
@@ -161,11 +155,26 @@ class InvocationPredictor:
                 idx = order[start : start + self.batch_size]
                 self._train_batch(Xn[idx], labels[idx])
         self._weights_version += 1
-        self._predict_memo.clear()
         return self
 
     # -- inference ------------------------------------------------------------
-    def predict_bucket(self, history: np.ndarray) -> int:
+    def stream(self) -> WindowStream:
+        """A window stream over one append-only count history.
+
+        Pass it to every :meth:`predict_next` call on that history: each
+        call then feeds only the windows it has not seen and takes one
+        batched LSTM step per window instead of a ``window``-step forward.
+        It is valid until the next ``fit``/``partial_fit``.
+        """
+        if not self.trained:
+            raise RuntimeError("predictor must be fit() before streaming")
+        return WindowStream(
+            self.lstm, self.window, self._scale, self._weights_version
+        )
+
+    def predict_bucket(
+        self, history: np.ndarray, *, stream: WindowStream | None = None
+    ) -> int:
         """Bucket choice for the next window given recent counts.
 
         Uses *conservative* selection: the smallest bucket whose cumulative
@@ -174,45 +183,37 @@ class InvocationPredictor:
         without under-estimating: only a ``1 - quantile`` tail of outcomes
         can exceed the chosen bucket.
         """
-        probs = self.predict_proba(history)
+        probs = self.predict_proba(history, stream=stream)
         return self._select_bucket(probs[None, :])[0]
 
     def _select_bucket(self, probs: np.ndarray) -> np.ndarray:
         cdf = np.cumsum(probs, axis=1)
         return np.argmax(cdf >= self.quantile - 1e-12, axis=1)
 
-    def predict_proba(self, history: np.ndarray) -> np.ndarray:
-        """Bucket probability distribution for the next window."""
-        self._check_ready(history)
-        x = (np.asarray(history, dtype=float)[-self.window :] / self._scale)[
-            None, :, None
-        ]
-        return softmax(self.head.forward(self.lstm.last_hidden(x)))[0]
+    def predict_proba(
+        self, history: np.ndarray, *, stream: WindowStream | None = None
+    ) -> np.ndarray:
+        """Bucket probability distribution for the next window.
 
-    def predict_next(self, history: np.ndarray, *, use_cache: bool = True) -> int:
-        """Predicted invocation count: bucket upper bound plus compensation.
-
-        The forward pass only consumes the last ``window`` counts, so
-        repeated calls with an unchanged history tail are memoized on
-        (weights version, tail digest); the cached value is bit-identical
-        to the uncached forward pass.
+        With ``stream`` (from :meth:`stream`, fed only this history) the
+        LSTM state comes from the stream; the result is bitwise equal to
+        the one-shot forward over the last ``window`` counts.
         """
         self._check_ready(history)
-        if use_cache:
-            tail = np.ascontiguousarray(np.asarray(history)[-self.window :])
-            h = hashlib.blake2b(tail.tobytes(), digest_size=16)
-            h.update(str(tail.dtype).encode())
-            key = (self._weights_version, h.digest())
-            cached = self._predict_memo.get(key)
-            if cached is not None:
-                return cached
-        raw = self.upper_bound(self.predict_bucket(history))
-        pred = int(round(raw * (1.0 + self.compensation)))
-        if use_cache:
-            if len(self._predict_memo) > _PREDICT_MEMO_LIMIT:
-                self._predict_memo.clear()
-            self._predict_memo[key] = pred
-        return pred
+        if stream is None:
+            x = np.asarray(history[-self.window :], dtype=float) / self._scale
+            h = self.lstm.last_hidden(x[None, :, None])
+        else:
+            stream.check(self.lstm, self._weights_version)
+            h = stream.feed(history)
+        return softmax(self.head.forward(h))[0]
+
+    def predict_next(
+        self, history: np.ndarray, *, stream: WindowStream | None = None
+    ) -> int:
+        """Predicted invocation count: bucket upper bound plus compensation."""
+        raw = self.upper_bound(self.predict_bucket(history, stream=stream))
+        return int(round(raw * (1.0 + self.compensation)))
 
     def rolling_predict(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-step-ahead predictions along a test series.

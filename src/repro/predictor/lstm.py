@@ -5,6 +5,9 @@ same building blocks without a deep-learning dependency:
 
 - :class:`LSTMLayer` — a single LSTM layer processing ``(B, T, I)`` batches,
   returning all hidden states and a cache for truncated BPTT;
+- :class:`WindowStream` — the final hidden state of the last ``W``
+  values of a growing series, one batched step per new value (online
+  inference);
 - :class:`DenseLayer` — an affine head;
 - :class:`Adam` — the optimizer, with global-norm gradient clipping;
 - loss helpers: softmax cross-entropy (classification) and an asymmetric
@@ -110,39 +113,48 @@ class LSTMLayer:
     def last_hidden(self, x: np.ndarray) -> np.ndarray:
         """Final hidden state ``(B, H)`` of each sequence, inference-only.
 
-        Runs the exact per-timestep arithmetic of :meth:`forward` without
-        materializing the BPTT cache or the full ``(B, T, H)`` hidden
-        tensor — bit-identical to ``forward(x)[0][:, -1, :]`` but without
-        the bookkeeping, which dominates online single-sequence predicts.
+        Runs every sequence through :meth:`step` as one row of an
+        ``(B, 1, H)`` stack, without the BPTT cache or the full
+        ``(B, T, H)`` hidden tensor.  Each row's arithmetic is that of a
+        ``B = 1`` :meth:`forward` (see :meth:`step`), so a
+        :class:`WindowStream` over the same values matches it bit for bit.
         """
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(
                 f"expected input (B, T, {self.input_size}), got {x.shape}"
             )
         B, T, _ = x.shape
-        H = self.hidden_size
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
+        h = np.zeros((B, 1, self.hidden_size))
+        c = np.zeros_like(h)
         WxT = self.Wx.T
-        WhT = self.Wh.T
-        b = self.b
+        # With I == 1 every projected element is a single multiply, so one
+        # product over whole sequences equals the per-step products.
         xz = x @ WxT if self.input_size == 1 else None
         for t in range(T):
-            zx = xz[:, t, :] if xz is not None else x[:, t, :] @ WxT
-            z = zx + h @ WhT + b
-            # One sigmoid over the i/f/o columns gathered contiguously
-            # (sigmoid is elementwise, so gathering first is bitwise
-            # identical to the per-gate calls and halves the ufunc count).
-            s = _sigmoid(
-                np.concatenate([z[:, : 2 * H], z[:, 3 * H :]], axis=1)
-            )
-            i = s[:, :H]
-            f = s[:, H : 2 * H]
-            o = s[:, 2 * H :]
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-        return h
+            zx = xz[:, t : t + 1] if xz is not None else x[:, t : t + 1] @ WxT
+            h, c = self.step(zx, h, c)
+        return h[:, 0, :]
+
+    def step(
+        self, zx: np.ndarray, h: np.ndarray, c: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance a stack of ``R`` independent rows by one timestep.
+
+        ``h`` and ``c`` are ``(R, 1, H)``; ``zx`` is the projected input,
+        ``(R, 1, 4H)`` or broadcastable to it.  The recurrent product runs
+        on the 3-D stack, where NumPy does one gemv per row: each row is
+        then bitwise equal to a ``(1, H) @ Wh.T`` step, whatever ``R`` is.
+        (A 2-D ``(R, H)`` product goes through gemm and is not.)
+        """
+        H = self.hidden_size
+        z = zx + np.matmul(h, self.Wh.T) + self.b
+        # One sigmoid over all of z, sliced into i/f/o afterwards: sigmoid
+        # is elementwise, so the g columns it also covers change nothing.
+        s = _sigmoid(z)
+        g = np.tanh(z[..., 2 * H : 3 * H])
+        c = s[..., H : 2 * H] * c + s[..., :H] * g
+        h = s[..., 3 * H :] * np.tanh(c)
+        return h, c
 
     def backward(
         self, dhs: np.ndarray, cache: dict
@@ -185,6 +197,76 @@ class LSTMLayer:
             dx[:, t, :] = dz @ self.Wx
             dh_next = dz @ self.Wh
         return {"Wx": dWx, "Wh": dWh, "b": db}, dx
+
+
+class WindowStream:
+    """Final hidden state of the last ``window`` values of a growing series.
+
+    The streaming form of ``layer.last_hidden(series[-window:] / scale)``
+    for an ``input_size == 1`` layer.  The ``window`` windows still open
+    are the rows of one ``(window, 1, H)`` state.  Each new value zeroes
+    the row whose window starts with it and advances every row by one
+    batched :meth:`LSTMLayer.step`; the row that has then consumed
+    ``window`` values is the answer.  No future input is needed, and each
+    row does the one-shot arithmetic, so the result is bitwise equal to
+    ``last_hidden`` on every window.
+
+    ``version`` tags the owner's weights when the stream was made; owners
+    refuse a stream whose tag no longer matches.
+    """
+
+    def __init__(
+        self, layer: LSTMLayer, window: int, scale: float, version: int
+    ) -> None:
+        if layer.input_size != 1:
+            raise ValueError("a window stream needs an input_size == 1 layer")
+        self.layer = layer
+        self.window = int(window)
+        self.scale = scale
+        self.version = version
+        self.seen = 0
+        self._h = np.zeros((self.window, 1, layer.hidden_size))
+        self._c = np.zeros_like(self._h)
+
+    def check(self, layer: LSTMLayer, version: int) -> None:
+        """Raise unless this stream was made for ``layer`` at ``version``."""
+        if self.layer is not layer or self.version != version:
+            raise RuntimeError(
+                "stream was made by another predictor or before the last "
+                "fit/partial_fit"
+            )
+
+    def feed(self, series: np.ndarray) -> np.ndarray:
+        """Consume the values of ``series`` not seen yet, oldest first.
+
+        ``series`` must extend the series fed so far.  Returns the
+        ``(1, H)`` final hidden state over its last ``window`` values.
+        Values older than that lie outside every open window, so at most
+        ``window`` steps are taken however long the unseen suffix is.
+        """
+        n = len(series)
+        W = self.window
+        if n < self.seen:
+            raise ValueError(
+                f"series shrank from {self.seen} to {n} values; a stream "
+                f"follows one append-only series"
+            )
+        if n < W:
+            raise ValueError(f"need >= {W} values, got {n}")
+        start = max(self.seen, n - W)
+        if n > start:
+            x = np.asarray(series[start:n], dtype=float) / self.scale
+            xz = (x[None, :, None] @ self.layer.Wx.T)[0]  # as in last_hidden
+            h, c = self._h, self._c
+            for t in range(n - start):
+                row = (start + t) % W
+                h[row] = 0.0
+                c[row] = 0.0
+                h, c = self.layer.step(xz[t], h, c)
+            self._h, self._c = h, c
+            self.seen = n
+        # A copy: the next feed zeroes this row in place.
+        return self._h[n % W].copy()
 
 
 class DenseLayer:

@@ -139,25 +139,60 @@ def test_smiless_trace_and_audit_digests_bit_identical(environment, tmp_path):
     assert audit_digest == SMILESS_AUDIT_DIGEST
 
 
-def test_predictor_cache_bit_identical_across_randomized_histories():
-    """Cached and uncached predictor outputs agree bitwise on random tails."""
+def _random_history(rng: np.random.Generator) -> np.ndarray:
+    """Counts with quiet stretches, long zero runs and bursts."""
+    parts = []
+    while sum(p.size for p in parts) < 240:
+        kind = rng.integers(3)
+        size = int(rng.integers(5, 60))
+        if kind == 0:
+            parts.append(np.zeros(size, dtype=np.int64))
+        elif kind == 1:
+            parts.append(rng.poisson(rng.uniform(0.2, 2.0), size=size))
+        else:
+            parts.append(rng.poisson(rng.uniform(8.0, 30.0), size=min(size, 12)))
+    return np.concatenate(parts)
+
+
+def test_predictor_stream_bit_identical_to_one_shot_on_every_window():
+    """Streamed and one-shot predictions agree bitwise on every window.
+
+    Each seeded history is grown one window at a time (sometimes by a
+    jump longer than the LSTM window, and starting shorter than it), the
+    way a run's count history grows; every prefix is predicted both from
+    a run stream and by a fresh one-shot forward.
+    """
     rng = np.random.default_rng(42)
     train = rng.poisson(0.8, size=900)
     inv = InvocationPredictor(
         bucket_size=1, n_buckets=16, epochs=2, seed=0
     ).fit(train)
-    inter = InterArrivalPredictor(epochs=2, seed=0).fit(train)
-    checked_inter = 0
-    for _ in range(30):
-        size = int(rng.integers(60, 400))
-        hist = rng.poisson(float(rng.uniform(0.3, 3.0)), size=size)
-        cached = inv.predict_next(hist)
-        assert cached == inv.predict_next(hist, use_cache=False)
-        assert cached == inv.predict_next(hist)  # memo hit, same value
-        gaps = gaps_from_counts(hist)
-        if gaps.size >= inter.gap_window and hist.size >= inter.count_window:
-            got = inter.predict_next(gaps, hist)
-            assert got == inter.predict_next(gaps, hist, use_cache=False)
-            assert got == inter.predict_next(gaps, hist)  # memo hit
-            checked_inter += 1
-    assert checked_inter >= 10  # the generator must exercise the LSTM path
+    duals = [
+        InterArrivalPredictor(epochs=2, seed=0).fit(train),
+        InterArrivalPredictor(dual_input=False, epochs=2, seed=0).fit(train),
+    ]
+    checked = {"inv": 0, "dual": 0, "single": 0}
+    for _ in range(8):
+        hist = _random_history(rng)
+        inv_stream = inv.stream()
+        it_streams = [p.stream() for p in duals]
+        n = int(rng.integers(1, inv.window))  # start shorter than the window
+        while n <= hist.size:
+            prefix = hist[:n]
+            if n < inv.window:
+                with pytest.raises(ValueError):
+                    inv.predict_next(prefix, stream=inv_stream)
+            else:
+                assert inv.predict_next(prefix, stream=inv_stream) == (
+                    inv.predict_next(prefix)
+                )
+                checked["inv"] += 1
+            gaps = gaps_from_counts(prefix)
+            for p, stream, key in zip(duals, it_streams, ("dual", "single")):
+                if gaps.size >= p.gap_window and n >= p.count_window:
+                    got = p.predict_next(gaps, prefix, stream=stream)
+                    assert got == p.predict_next(gaps, prefix)
+                    checked[key] += 1
+            n += 1 if rng.random() < 0.9 else int(rng.integers(2, 45))
+    # The generator must exercise every LSTM path on many windows.
+    assert min(checked.values()) >= 400, checked

@@ -13,6 +13,7 @@ from repro.predictor import (
 )
 from repro.predictor.gbrt import RegressionTree
 from repro.predictor.interarrival import gaps_from_counts
+from repro.predictor.lstm import LSTMLayer, WindowStream
 from repro.predictor.metrics import (
     mean_absolute_percentage_error,
     overestimation_rate,
@@ -162,6 +163,65 @@ class TestInterArrivalPredictor:
         np.testing.assert_allclose(targets, 10.0)
         np.testing.assert_allclose(gap_seqs, 10.0)
         assert count_seqs.shape[1] == 10
+
+
+class TestWindowStream:
+    """The streamed LSTM state is the one-shot state, bit for bit."""
+
+    @pytest.mark.parametrize("hidden,window", [(30, 30), (32, 12), (32, 30)])
+    def test_hidden_state_bitwise_equal_to_last_hidden(self, hidden, window):
+        rng = np.random.default_rng(hidden * window)
+        layer = LSTMLayer(1, hidden, rng)
+        series = rng.poisson(1.5, size=300).astype(float)
+        series[60:140] = 0.0  # a long quiet stretch
+        series[200:210] = 35.0  # a burst
+        scale = 7.0
+        stream = WindowStream(layer, window, scale, version=0)
+        n, checked = window, 0
+        while n <= series.size:
+            got = stream.feed(series[:n])
+            x = (series[n - window : n] / scale)[None, :, None]
+            assert np.array_equal(got, layer.last_hidden(x))
+            checked += 1
+            n += 1 if n % 100 else window + 7  # now and then skip ahead
+        assert checked >= 150
+
+    def test_needs_a_full_window_and_an_append_only_series(self):
+        layer = LSTMLayer(1, 8, np.random.default_rng(0))
+        stream = WindowStream(layer, 5, 1.0, version=0)
+        with pytest.raises(ValueError):
+            stream.feed(np.ones(4))
+        stream.feed(np.ones(9))
+        with pytest.raises(ValueError):
+            stream.feed(np.ones(8))
+
+    def test_invocation_stream_is_stale_after_partial_fit(self, periodic_counts):
+        train, _ = periodic_counts
+        p = InvocationPredictor(bucket_size=1, epochs=1, seed=0).fit(train)
+        stream = p.stream()
+        p.predict_next(train, stream=stream)
+        p.partial_fit(train[-200:])
+        with pytest.raises(RuntimeError):
+            p.predict_next(train, stream=stream)
+        other = InvocationPredictor(bucket_size=1, epochs=1, seed=1).fit(train)
+        with pytest.raises(RuntimeError):
+            other.predict_next(train, stream=p.stream())
+
+    def test_interarrival_stream_is_stale_after_partial_fit(self, periodic_counts):
+        train, _ = periodic_counts
+        p = InterArrivalPredictor(epochs=1, seed=0).fit(train)
+        gaps = gaps_from_counts(train)
+        stream = p.stream()
+        p.predict_next(gaps, train, stream=stream)
+        p.partial_fit(train[-400:])
+        with pytest.raises(RuntimeError):
+            p.predict_next(gaps, train, stream=stream)
+
+    def test_stream_needs_a_trained_predictor(self):
+        with pytest.raises(RuntimeError):
+            InvocationPredictor(seed=0).stream()
+        with pytest.raises(RuntimeError):
+            InterArrivalPredictor(seed=0).stream()
 
 
 class TestArima:
