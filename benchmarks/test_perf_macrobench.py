@@ -85,7 +85,10 @@ def _run_bench(
 
 
 def _check_record(record: dict, invocations: int, policy: str = "grandslam") -> None:
-    assert record["generated_by"] == "repro bench --macro"
+    command = f"repro bench --macro --invocations {invocations}"
+    if policy != "grandslam":
+        command += f" --policy {policy}"
+    assert record["generated_by"] == command
     assert record["invocations_target"] == invocations
     assert record["policy"] == policy
     assert record["retention"] == "sketch"
@@ -161,7 +164,10 @@ def test_macro_bench(tmp_path):
 
 
 def _check_sharded_record(record: dict, invocations: int) -> None:
-    assert record["generated_by"] == "repro bench --macro --shards"
+    assert record["generated_by"] == (
+        f"repro bench --macro --invocations {invocations} "
+        f"--shards {record['shards_requested']}"
+    )
     assert record["invocations_target"] == invocations
     assert record["retention"] == "sketch"
     assert record["completed"] >= 0.95 * invocations

@@ -65,7 +65,7 @@ from pathlib import Path
 from repro.experiments import PACK_NAMES, ScenarioSpec, run_grid, run_scenario
 from repro.experiments.parallel import cell_simulator
 from repro.experiments.runners import APP_BUILDERS, PAPER_APPS, POLICY_NAMES
-from repro.simulator.metrics import RETENTION_MODES
+from repro.simulator.metrics import RETENTION_MODES, summary_mismatches
 from repro.workload.azure import PRESETS
 
 
@@ -276,23 +276,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _summaries_match(a: dict, b: dict) -> bool:
-    """Exact summary equality, treating NaN as equal to NaN."""
-    if a.keys() != b.keys():
-        return False
-    for k in a:
-        x, y = a[k], b[k]
-        both_nan = (
-            isinstance(x, float)
-            and isinstance(y, float)
-            and math.isnan(x)
-            and math.isnan(y)
-        )
-        if not both_nan and x != y:
-            return False
-    return True
-
-
 def cmd_trace(args) -> int:
     from repro.telemetry import (
         TraceRecorder,
@@ -319,7 +302,7 @@ def cmd_trace(args) -> int:
         print(f"error: {bad} event(s) failed schema validation")
         return 1
     # ... and the trace must reconstruct the live metrics exactly.
-    if not _summaries_match(aggregate(recorder.events).summary(), metrics.summary()):
+    if summary_mismatches(aggregate(recorder.events).summary(), metrics.summary()):
         print("error: trace does not reconstruct the live run metrics")
         return 1
 
@@ -381,6 +364,37 @@ def _bench_provenance() -> dict:
     }
 
 
+def _bench_cell(args):
+    """The macro bench's cell: ``PAPER_APPS`` co-run for ``--invocations``.
+
+    The horizon is the arrival target over the preset's aggregate rate
+    unless ``--duration`` overrides it; raises ``ValueError`` on an
+    invalid combination.
+    """
+    aggregate_rate = (1.0 / PRESETS[args.preset].mean_gap) * len(PAPER_APPS)
+    return _scenario_spec(
+        args,
+        apps=PAPER_APPS,
+        # Defaults that --duration and --slices-per-app override.
+        duration=math.ceil(args.invocations / aggregate_rate),
+        slices_per_app=4 if args.shards > 1 else 1,
+    ).cell()
+
+
+def _bench_command(args) -> str:
+    """The command line that reproduces a bench record.
+
+    ``--invocations`` plus every option set away from its default;
+    ``--out`` names a file, not the experiment, and is left out.
+    """
+    defaults = vars(build_parser().parse_args(["bench", "--macro"]))
+    parts = ["repro bench --macro", f"--invocations {args.invocations}"]
+    for dest, value in vars(args).items():
+        if dest not in ("invocations", "out") and value != defaults[dest]:
+            parts.append(f"--{dest.replace('_', '-')} {value}")
+    return " ".join(parts)
+
+
 def cmd_bench(args) -> int:
     import dataclasses
     import resource
@@ -390,16 +404,9 @@ def cmd_bench(args) -> int:
 
     # Mode selection (--macro) is enforced by the argparse group; by the
     # time we are here a mode is guaranteed.
-    rate_per_app = 1.0 / PRESETS[args.preset].mean_gap
-    aggregate_rate = rate_per_app * len(PAPER_APPS)
+    aggregate_rate = (1.0 / PRESETS[args.preset].mean_gap) * len(PAPER_APPS)
     try:
-        spec = _scenario_spec(
-            args,
-            apps=PAPER_APPS,
-            # Defaults that --duration and --slices-per-app override.
-            duration=math.ceil(args.invocations / aggregate_rate),
-            slices_per_app=4 if args.shards > 1 else 1,
-        ).cell()
+        spec = _bench_cell(args)
     except ValueError as exc:
         print(f"error: bench: {exc}", file=sys.stderr)
         return 2
@@ -430,7 +437,7 @@ def cmd_bench(args) -> int:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     completed = sum(s["invocations"] for s in res.summary.values())
     record = {
-        "generated_by": "repro bench --macro",
+        "generated_by": _bench_command(args),
         "invocations_target": int(args.invocations),
         "completed": int(completed),
         "policy": args.policy,
@@ -447,7 +454,6 @@ def cmd_bench(args) -> int:
         "apps": _json_safe(res.summary),
     }
     if sharded:
-        record["generated_by"] = "repro bench --macro --shards"
         record["shards_requested"] = int(args.shards)
         record["workers_effective"] = int(workers)
         record["slices_per_app"] = int(slices_per_app)
@@ -462,7 +468,7 @@ def cmd_bench(args) -> int:
             mismatched = sorted(
                 app
                 for app in res.summary
-                if not _summaries_match(res.summary[app], ref.summary[app])
+                if summary_mismatches(res.summary[app], ref.summary[app])
             )
             if mismatched:
                 print(

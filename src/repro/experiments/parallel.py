@@ -19,12 +19,14 @@ policies over one environment pays the build cost once per process.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.faults.plan import FaultPlan
@@ -128,9 +130,8 @@ class CellResult:
 
     ``summary`` maps each app to its ``RunMetrics.summary()``.
     ``extras`` carries counters absent from the golden-pinned summary key
-    set (conservation terms, swap-in counts), keyed by app as well; it is
-    empty for sharded cells (the merged snapshot's summary is the
-    contract there).
+    set (conservation terms, swap-in counts), keyed by app as well; a
+    sharded cell reports both from its merged per-app metrics.
     """
 
     spec: MultiAppCellSpec
@@ -247,12 +248,29 @@ def run_cell(spec: MultiAppCellSpec) -> CellResult:
         path = cell_trace_path(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         recorder.write_jsonl(path)
-    arrivals = {env.app.name: len(env.trace) for env in envs}
+    return _cell_result(
+        spec,
+        results,
+        arrivals={env.app.name: len(env.trace) for env in envs},
+        wall_clock=wall,
+        events_processed=sim.events.processed,
+    )
+
+
+def _cell_result(
+    spec: MultiAppCellSpec,
+    results: dict,
+    *,
+    arrivals: dict[str, int],
+    wall_clock: float,
+    events_processed: int,
+) -> CellResult:
+    """A cell's result from its per-app metrics, sharded or not."""
     return CellResult(
         spec=spec,
         summary={name: m.summary() for name, m in results.items()},
-        wall_clock=wall,
-        events_processed=sim.events.processed,
+        wall_clock=wall_clock,
+        events_processed=events_processed,
         extras={
             name: _metrics_extras(m, arrivals=arrivals[name])
             for name, m in results.items()
@@ -264,7 +282,8 @@ def _run_sharded_cell(spec: MultiAppCellSpec) -> CellResult:
     """Run a shard-plane cell: scatter units over processes, merge, time.
 
     ``wall_clock`` is the barrier wall time (what a user waits for);
-    ``events_processed`` sums over every unit.
+    ``events_processed`` sums over every unit; summaries and extras come
+    from the merged per-app metrics, as in :func:`run_cell`.
     """
     # Late import: repro.sharding imports this module for the cell spec
     # and the environment cache.
@@ -278,12 +297,61 @@ def _run_sharded_cell(spec: MultiAppCellSpec) -> CellResult:
     start = time.perf_counter()
     snapshot = run_sharded(plan, spec)
     wall = time.perf_counter() - start
-    return CellResult(
-        spec=spec,
-        summary=snapshot.summary(),
+    return _cell_result(
+        spec,
+        snapshot.per_app_metrics(),
+        arrivals=snapshot.arrivals(),
         wall_clock=wall,
         events_processed=snapshot.events_processed,
     )
+
+
+def fan_out(
+    fn: Callable,
+    items: Sequence,
+    *,
+    workers: int,
+    mp_context: str | None = None,
+) -> list:
+    """``[fn(x) for x in items]`` on up to ``workers`` processes, in order.
+
+    ``executor.map`` preserves input order, so results line up with
+    ``items`` whatever the worker count.  ``mp_context`` picks the start
+    method (``"spawn"``, ``"fork"``, ...; default: the platform's).  Runs
+    in-process — same results, only slower — when one worker suffices,
+    when called from a daemonic (pool-worker) process, where nested pools
+    are forbidden, or when the pool fails to start; the last two warn
+    (``RuntimeWarning``).
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers > 1 and multiprocessing.current_process().daemon:
+        warnings.warn(
+            "process fan-out called from a daemonic worker process; nested "
+            "process pools are not allowed, running serially in-process "
+            "(results are identical).",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        workers = 1
+    if workers <= 1:
+        return [fn(x) for x in items]
+    context = multiprocessing.get_context(mp_context)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=context
+        ) as pool:
+            return list(pool.map(fn, items))
+    except OSError as exc:
+        warnings.warn(
+            f"worker pool failed to start ({exc}); falling back to serial "
+            "in-process execution (results are identical).",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return [fn(x) for x in items]
 
 
 def run_grid(
@@ -293,10 +361,4 @@ def run_grid(
 
     Results come back in input order regardless of worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    cells = list(cells)
-    if workers == 1 or len(cells) <= 1:
-        return [run_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-        return list(pool.map(run_cell, cells))
+    return fan_out(run_cell, cells, workers=workers)

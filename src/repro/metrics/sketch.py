@@ -71,30 +71,16 @@ class StreamingStats:
         if other.maximum > self.maximum:
             self.maximum = other.maximum
 
-    # ------------------------------------------------------------ snapshots
-    def to_state(self) -> tuple[int, float, float, float]:
-        """Exact picklable state ``(count, total, min, max)``.
-
-        The shard plane ships these across process boundaries; a restored
-        accumulator (:meth:`from_state`) is indistinguishable from the
-        original — same count, same bit-exact running sum and extrema.
-        """
-        return (self.count, self.total, self.minimum, self.maximum)
-
-    @classmethod
-    def from_state(
-        cls, state: tuple[int, float, float, float]
-    ) -> "StreamingStats":
-        """Rebuild an accumulator from a :meth:`to_state` snapshot."""
-        count, total, minimum, maximum = state
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        stats = cls()
-        stats.count = int(count)
-        stats.total = float(total)
-        stats.minimum = float(minimum)
-        stats.maximum = float(maximum)
-        return stats
+    def __eq__(self, other: object) -> bool:
+        """Value equality: same count, running sum and extrema."""
+        if not isinstance(other, StreamingStats):
+            return NotImplemented
+        return (self.count, self.total, self.minimum, self.maximum) == (
+            other.count,
+            other.total,
+            other.minimum,
+            other.maximum,
+        )
 
     @property
     def mean(self) -> float:
@@ -151,7 +137,7 @@ class QuantileSketch:
             self._max = value
         self._buf.append(value)
         if len(self._buf) >= self._BUFFER and self.count > self.compression:
-            self._flush()
+            self.flush()
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch in.
@@ -198,8 +184,13 @@ class QuantileSketch:
             return means, counts
         return self._means.copy(), self._counts.copy()
 
-    def _flush(self) -> None:
-        """Fold the insertion buffer into the centroid set."""
+    def flush(self) -> None:
+        """Fold the insertion buffer into the centroid set.
+
+        Queries flush on their own.  A shard worker flushes each finished
+        unit's sketch once before shipping it, so the unit travels
+        compressed and every barrier merge starts from centroids alone.
+        """
         if not self._buf:
             return
         self._means, self._counts = self._centroid_state()
@@ -270,7 +261,7 @@ class QuantileSketch:
             return float("nan")
         if self.count <= self.compression:
             return float(np.percentile(self._all_values(), q))
-        self._flush()
+        self.flush()
         means, counts = self._means, self._counts
         if means.size == 1:
             return float(means[0])
@@ -315,51 +306,13 @@ class QuantileSketch:
         :meth:`from_flat` (the reconstructed sketch answers quantile
         queries within the same rank-error bound).
         """
-        self._flush()
+        self.flush()
         means, counts = self._centroid_state()
         out: list[float] = []
         for m, c in zip(means, counts):
             out.append(float(m))
             out.append(float(c))
         return tuple(out)
-
-    def to_state(self) -> tuple[int, int, float, float, tuple[float, ...]]:
-        """Exact shard-plane snapshot: ``(compression, count, min, max, flat)``.
-
-        Unlike :meth:`to_flat` — which targets JSON-scalar telemetry embeds
-        and lets :meth:`from_flat` re-derive count and extrema from the
-        centroids — this round-trip preserves the sketch's *exact* count,
-        minimum and maximum, so a sketch restored in another process
-        (:meth:`from_state`) merges and answers quantile queries
-        bit-identically to the original.  This is the primitive
-        :mod:`repro.sharding` builds :class:`~repro.sharding.UnitSnapshot`
-        on.
-        """
-        return (
-            self.compression,
-            self.count,
-            self._min,
-            self._max,
-            self.to_flat(),
-        )
-
-    @classmethod
-    def from_state(
-        cls, state: tuple[int, int, float, float, tuple[float, ...]]
-    ) -> "QuantileSketch":
-        """Rebuild a sketch from a :meth:`to_state` snapshot (exact)."""
-        compression, count, minimum, maximum, flat = state
-        sketch = cls.from_flat(flat, compression=int(compression))
-        if sketch.count != int(count):
-            raise ValueError(
-                f"snapshot centroid mass {sketch.count} disagrees with the "
-                f"recorded count {count}"
-            )
-        sketch.count = int(count)
-        if flat:
-            sketch._min = float(minimum)
-            sketch._max = float(maximum)
-        return sketch
 
     @classmethod
     def from_flat(
@@ -381,6 +334,17 @@ class QuantileSketch:
             sketch._min = float(means.min())
             sketch._max = float(means.max())
         return sketch
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: same settings, extrema, centroids and buffer."""
+        if not isinstance(other, QuantileSketch):
+            return NotImplemented
+        return (
+            (self.compression, self.count, self._min, self._max, self._buf)
+            == (other.compression, other.count, other._min, other._max, other._buf)
+            and np.array_equal(self._means, other._means)
+            and np.array_equal(self._counts, other._counts)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

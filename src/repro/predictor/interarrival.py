@@ -25,6 +25,7 @@ from repro.predictor.lstm import (
     LSTMLayer,
     WindowStream,
     asymmetric_squared_error,
+    shuffled_batches,
 )
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive
@@ -132,12 +133,10 @@ class InterArrivalPredictor:
         G = (gap_seqs / self._gap_scale)[:, :, None]
         C = (count_seqs / self._count_scale)[:, :, None]
         y = targets / self._gap_scale
-        n = G.shape[0]
-        for _ in range(self.epochs):
-            order = self._rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start : start + self.batch_size]
-                self._train_batch(G[idx], C[idx], y[idx])
+        for idx in shuffled_batches(
+            self._rng, G.shape[0], self.batch_size, self.epochs
+        ):
+            self._train_batch(G[idx], C[idx], y[idx])
         self.trained = True
         self._weights_version += 1
         return self
@@ -186,12 +185,10 @@ class InterArrivalPredictor:
         G = (gap_seqs / self._gap_scale)[:, :, None]
         C = (count_seqs / self._count_scale)[:, :, None]
         y = targets / self._gap_scale
-        n = G.shape[0]
-        for _ in range(max(1, int(epochs))):
-            order = self._rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start : start + self.batch_size]
-                self._train_batch(G[idx], C[idx], y[idx])
+        for idx in shuffled_batches(
+            self._rng, G.shape[0], self.batch_size, max(1, int(epochs))
+        ):
+            self._train_batch(G[idx], C[idx], y[idx])
         self._weights_version += 1
         return self
 

@@ -20,6 +20,7 @@ from repro.predictor.lstm import (
     LSTMLayer,
     WindowStream,
     make_windows,
+    shuffled_batches,
     softmax,
     softmax_cross_entropy,
 )
@@ -102,12 +103,10 @@ class InvocationPredictor:
         labels = np.array([self.bucket_of(int(round(v))) for v in y])
         self._scale = max(1.0, float(counts.max()))
         Xn = (X / self._scale)[:, :, None]
-        n = Xn.shape[0]
-        for _ in range(self.epochs):
-            order = self._rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start : start + self.batch_size]
-                self._train_batch(Xn[idx], labels[idx])
+        for idx in shuffled_batches(
+            self._rng, Xn.shape[0], self.batch_size, self.epochs
+        ):
+            self._train_batch(Xn[idx], labels[idx])
         self.trained = True
         self._weights_version += 1
         return self
@@ -148,12 +147,10 @@ class InvocationPredictor:
         labels = np.array([self.bucket_of(int(round(v))) for v in y])
         self._scale = max(self._scale, float(counts.max()), 1.0)
         Xn = (X / self._scale)[:, :, None]
-        n = Xn.shape[0]
-        for _ in range(max(1, int(epochs))):
-            order = self._rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start : start + self.batch_size]
-                self._train_batch(Xn[idx], labels[idx])
+        for idx in shuffled_batches(
+            self._rng, Xn.shape[0], self.batch_size, max(1, int(epochs))
+        ):
+            self._train_batch(Xn[idx], labels[idx])
         self._weights_version += 1
         return self
 

@@ -23,6 +23,7 @@ sizes 30–128, sequences of ~3600 windows) takes seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -393,6 +394,21 @@ def make_windows(series: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarra
     n = s.size - length
     idx = np.arange(length)[None, :] + np.arange(n)[:, None]
     return s[idx], s[length:]
+
+
+def shuffled_batches(
+    rng: np.random.Generator, n: int, batch_size: int, epochs: int
+) -> Iterator[np.ndarray]:
+    """Index batches of shuffled mini-batch training over ``n`` examples.
+
+    Each epoch draws one ``rng.permutation(n)`` and yields it in
+    ``batch_size`` chunks, so a predictor's RNG advances exactly once per
+    epoch whatever the batch count.
+    """
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:

@@ -16,7 +16,6 @@ recorded footer field by field — the closed-loop CI check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -29,7 +28,7 @@ from repro.experiments.parallel import (
 from repro.overload.spec import OverloadSpec
 from repro.serving.requestlog import ParsedLog, read_request_log
 from repro.simulator.gateway import WINDOW
-from repro.simulator.metrics import RunMetrics
+from repro.simulator.metrics import RunMetrics, summary_mismatches
 from repro.simulator.multiapp import Deployment, MultiAppSimulator
 from repro.workload.trace import Trace
 
@@ -106,14 +105,6 @@ def replay_request_log(path: str | Path) -> ReplayResult:
     return ReplayResult(metrics=sim.run(), parsed=parsed)
 
 
-def _values_match(a: float, b: float) -> bool:
-    """Bitwise-exact float equality, treating NaN as equal to NaN."""
-    if isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a) and math.isnan(b):
-            return True
-    return a == b
-
-
 def verify_replay(path: str | Path) -> tuple[ReplayResult, list[str]]:
     """Replay a log and diff it against its recorded footer.
 
@@ -134,12 +125,11 @@ def verify_replay(path: str | Path) -> tuple[ReplayResult, list[str]]:
         if app not in replayed:
             diffs.append(f"{app}: present in footer but not in replay")
             continue
-        for key, live_value in live_summary.items():
-            replay_value = replayed[app].get(key)
-            if not _values_match(live_value, replay_value):
-                diffs.append(
-                    f"{app}.{key}: live={live_value!r} replay={replay_value!r}"
-                )
+        for key in summary_mismatches(live_summary, replayed[app]):
+            diffs.append(
+                f"{app}.{key}: live={live_summary.get(key)!r} "
+                f"replay={replayed[app].get(key)!r}"
+            )
     for app, live_counters in recorded.get("counters", {}).items():
         metrics = result.metrics.get(app)
         if metrics is None:

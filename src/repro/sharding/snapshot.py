@@ -1,20 +1,24 @@
-"""Picklable run snapshots and the commutative barrier merge.
+"""Finished shard units and the commutative barrier merge.
 
-A shard worker cannot ship a live :class:`~repro.simulator.metrics.RunMetrics`
-across a process boundary (oracles, pools and timers hang off it through
-the gateway), so each finished unit is reduced to a :class:`UnitSnapshot`:
-plain-data counters plus the exact states of its streaming accumulators
-(:meth:`QuantileSketch.to_state`, :meth:`StreamingStats.to_state`,
-:meth:`BillingFold.to_state`).  A :class:`ShardSnapshot` is a canonically
-ordered set of unit snapshots; :func:`merge_snapshots` unions them.
+A finished unit ships as a :class:`UnitResult`: its
+:class:`~repro.sharding.plan.ShardUnit`, its sealed sketch-retention
+:class:`~repro.simulator.metrics.RunMetrics`, its event count, its slice
+arrival count and its wall clock.  A sealed sketch-retention run holds no
+gateway reference — only counters, the latency sketch and stats and the
+billing fold — so it pickles as it is under both ``fork`` and ``spawn``.
+The worker flushes the latency sketch and drops the per-window pod and
+arrival samples (which grow with the window count) before the unit
+leaves.  A :class:`ShardSnapshot` is a canonically ordered set of unit
+results; :func:`merge_snapshots` unions them.
 
 Merge algebra — why the reducer is *bit-for-bit* commutative and
 associative (pinned by ``tests/test_sharding.py``): merging never adds
-floats.  It only unions leaf snapshots, and :class:`ShardSnapshot`
-normalizes its units into canonical ``(app, slice_index)`` order, so any
-merge tree over any shard ordering produces the *same object*.  All
-floating-point reduction is deferred to :meth:`ShardSnapshot.per_app_metrics`,
-which folds the leaves in canonical order — the identical fold a 1-shard
+floats.  It only unions unit results, and :class:`ShardSnapshot`
+normalizes them into canonical ``(app, slice_index)`` order, so any
+merge tree over any shard ordering produces an *equal* snapshot.  All
+floating-point reduction is deferred to
+:meth:`ShardSnapshot.per_app_metrics`, which folds each app's units with
+:meth:`RunMetrics.merge` in canonical order — the identical fold a 1-shard
 run performs — making merged counters, costs, availability, goodput and
 conservation sums bit-identical regardless of how many processes ran the
 plan.  Latency quantiles come from t-digest merges in the same canonical
@@ -24,143 +28,42 @@ per-unit exact distributions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.metrics.sketch import QuantileSketch, StreamingStats
-from repro.simulator.metrics import BillingFold, RunMetrics
+from repro.sharding.plan import ShardUnit
+from repro.simulator.metrics import RunMetrics
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    pass
-
-__all__ = ["UnitSnapshot", "ShardSnapshot", "merge_snapshots"]
-
-#: RunMetrics integer counters carried verbatim on a UnitSnapshot and
-#: summed (exactly) at collapse time.  Order matters only for readability.
-_COUNTER_FIELDS = (
-    "unfinished",
-    "timed_out",
-    "stage_executions",
-    "cold_stage_executions",
-    "initializations",
-    "failed_initializations",
-    "stage_retries",
-    "failed_executions",
-    "fallbacks",
-    "completed_count",
-    "sla_violation_count",
-    "within_sla_count",
-    # Appended (not inserted) so older positional fixtures keep their
-    # indices: GPU swap-in launches under swap-capable profiles.
-    "swap_ins",
-    # Overload plane (repro.overload): queue sheds, admission rejections,
-    # and fault-plan-injected arrivals (flash crowds, retry storms).  All
-    # three sum exactly across slices; peak_queue_depth does NOT belong
-    # here — it merges by max, not sum, and rides as its own field.
-    "shed",
-    "rejected",
-    "injected_arrivals",
-)
+__all__ = ["UnitResult", "ShardSnapshot", "merge_snapshots"]
 
 
 @dataclass(frozen=True)
-class UnitSnapshot:
-    """Everything one finished unit contributes to the merged run.
+class UnitResult:
+    """What one finished unit contributes to the merged run.
 
-    Extracted from a **sealed** sketch-retention
-    :class:`~repro.simulator.metrics.RunMetrics` (see
-    :meth:`from_metrics`); plain data end to end, so it pickles under both
-    fork and spawn start methods and hashes/compares structurally.
+    ``metrics`` is the unit's sealed sketch-retention run; ``arrivals``
+    counts its trace slice's arrivals (the conservation cross-check).
     """
 
-    app: str
-    policy: str
-    sla: float
-    slice_index: int
-    n_slices: int
-    duration: float
-    counters: tuple[int, ...]  # values of _COUNTER_FIELDS, in order
-    sketch_state: tuple  # QuantileSketch.to_state()
-    stats_state: tuple  # StreamingStats.to_state()
-    billing_state: tuple  # BillingFold.to_state()
+    unit: ShardUnit
+    metrics: RunMetrics
     events_processed: int = 0
+    arrivals: int = 0
     #: Host timing, not simulation outcome — excluded from equality so two
     #: runs of the same unit compare equal bit for bit.
     wall_clock: float = field(default=0.0, compare=False)
-    #: Deepest per-function queue seen in this unit.  Kept off
-    #: ``_COUNTER_FIELDS`` because slices combine it with ``max``, not
-    #: ``+`` — the merged value is the deepest backlog anywhere in the run.
-    peak_queue_depth: int = 0
 
     @property
     def key(self) -> tuple[str, int]:
-        """Canonical identity: one snapshot per (app, slice)."""
-        return (self.app, self.slice_index)
-
-    @classmethod
-    def from_metrics(
-        cls,
-        metrics: RunMetrics,
-        *,
-        slice_index: int = 0,
-        n_slices: int = 1,
-        events_processed: int = 0,
-        wall_clock: float = 0.0,
-    ) -> "UnitSnapshot":
-        """Extract the snapshot of one sealed sketch-retention run.
-
-        This is the extraction that used to be scattered across
-        ``Gateway.finalize`` consumers: conservation and fault counters,
-        the billing fold, and the latency sketch/stats states, reduced to
-        one picklable record.
-        """
-        if metrics.retention != "sketch":
-            raise ValueError(
-                "unit snapshots require retention='sketch'; a full-retention "
-                "run retains unmergeable per-record state "
-                f"(got retention={metrics.retention!r})"
-            )
-        return cls(
-            app=metrics.app,
-            policy=metrics.policy,
-            sla=metrics.sla,
-            slice_index=slice_index,
-            n_slices=n_slices,
-            duration=metrics.duration,
-            counters=tuple(
-                int(getattr(metrics, name)) for name in _COUNTER_FIELDS
-            ),
-            sketch_state=metrics.latency_sketch.to_state(),
-            stats_state=metrics.latency_stats.to_state(),
-            billing_state=metrics.billing.to_state(),
-            events_processed=int(events_processed),
-            wall_clock=float(wall_clock),
-            peak_queue_depth=int(metrics.peak_queue_depth),
-        )
-
-    def to_metrics(self) -> RunMetrics:
-        """Rebuild a standalone sketch-retention ``RunMetrics`` (exact)."""
-        metrics = RunMetrics(
-            app=self.app,
-            policy=self.policy,
-            sla=self.sla,
-            retention="sketch",
-            duration=self.duration,
-            latency_sketch=QuantileSketch.from_state(self.sketch_state),
-            latency_stats=StreamingStats.from_state(self.stats_state),
-            billing=BillingFold.from_state(self.billing_state),
-        )
-        for name, value in zip(_COUNTER_FIELDS, self.counters):
-            setattr(metrics, name, value)
-        metrics.peak_queue_depth = self.peak_queue_depth
-        return metrics
+        """Canonical identity: one result per (app, slice)."""
+        return self.unit.key
 
 
 @dataclass(frozen=True)
 class ShardSnapshot:
-    """A set of unit snapshots in canonical order, mergeable at the barrier."""
+    """A set of unit results in canonical order, mergeable at the barrier."""
 
-    units: tuple[UnitSnapshot, ...]
+    units: tuple[UnitResult, ...]
 
     def __post_init__(self) -> None:
         keys = [u.key for u in self.units]
@@ -176,15 +79,12 @@ class ShardSnapshot:
         """Simulator events across every unit (exact integer sum)."""
         return sum(u.events_processed for u in self.units)
 
-    @property
-    def busy_seconds(self) -> float:
-        """Summed per-unit simulation wall-clock (CPU-time proxy)."""
-        return sum(u.wall_clock for u in self.units)
-
-    @property
-    def apps(self) -> tuple[str, ...]:
-        """Distinct application names, sorted."""
-        return tuple(sorted({u.app for u in self.units}))
+    def arrivals(self) -> dict[str, int]:
+        """Trace arrivals per app, summed over its slices."""
+        out: dict[str, int] = {}
+        for u in self.units:
+            out[u.unit.app] = out.get(u.unit.app, 0) + u.arrivals
+        return out
 
     def per_app_metrics(self) -> dict[str, RunMetrics]:
         """Collapse the units into one merged ``RunMetrics`` per app.
@@ -192,43 +92,27 @@ class ShardSnapshot:
         Folding happens here, in canonical (app, slice) order, so the
         result is a pure function of the unit *set* — identical no matter
         which processes produced the units or in which order snapshots
-        were merged.  ``duration`` sums across slices (total simulated
-        seconds); counters and billing sum exactly; sketches and stats
-        merge in slice order.
+        were merged.  Each app's slices merge with :meth:`RunMetrics.merge`
+        into a copy of its first slice's metrics, so the snapshot itself is
+        never mutated and can be collapsed again.
         """
-        grouped: dict[str, list[UnitSnapshot]] = {}
-        for unit in self.units:  # already canonically sorted
-            grouped.setdefault(unit.app, []).append(unit)
+        grouped: dict[str, list[UnitResult]] = {}
+        for result in self.units:  # already canonically sorted
+            grouped.setdefault(result.unit.app, []).append(result)
         merged: dict[str, RunMetrics] = {}
-        for app, units in grouped.items():
-            expected = set(range(units[0].n_slices))
-            got = {u.slice_index for u in units}
-            if {u.n_slices for u in units} != {units[0].n_slices} or (
-                got != expected
+        for app, results in grouped.items():
+            n_slices = results[0].unit.n_slices
+            got = {r.unit.slice_index for r in results}
+            if {r.unit.n_slices for r in results} != {n_slices} or (
+                got != set(range(n_slices))
             ):
                 raise ValueError(
                     f"app {app!r} snapshot is incomplete: have slices "
-                    f"{sorted(got)}, expected {sorted(expected)}"
+                    f"{sorted(got)}, expected {list(range(n_slices))}"
                 )
-            metrics = units[0].to_metrics()
-            for unit in units[1:]:
-                if unit.policy != metrics.policy or unit.sla != metrics.sla:
-                    raise ValueError(
-                        f"app {app!r} units disagree on policy/SLA"
-                    )
-                metrics.duration += unit.duration
-                for name, value in zip(_COUNTER_FIELDS, unit.counters):
-                    setattr(metrics, name, getattr(metrics, name) + value)
-                metrics.peak_queue_depth = max(
-                    metrics.peak_queue_depth, unit.peak_queue_depth
-                )
-                metrics.latency_sketch.merge(
-                    QuantileSketch.from_state(unit.sketch_state)
-                )
-                metrics.latency_stats.merge(
-                    StreamingStats.from_state(unit.stats_state)
-                )
-                metrics.billing.merge(BillingFold.from_state(unit.billing_state))
+            metrics = copy.deepcopy(results[0].metrics)
+            for result in results[1:]:
+                metrics.merge(result.metrics)
             merged[app] = metrics
         return merged
 
@@ -251,7 +135,6 @@ def merge_snapshots(*snapshots: ShardSnapshot) -> ShardSnapshot:
     """
     if not snapshots:
         raise ValueError("need at least one snapshot to merge")
-    units: list[UnitSnapshot] = []
-    for snap in snapshots:
-        units.extend(snap.units)
-    return ShardSnapshot(units=tuple(units))
+    return ShardSnapshot(
+        units=tuple(u for snap in snapshots for u in snap.units)
+    )

@@ -3,37 +3,39 @@
 :func:`run_shard` is the worker entrypoint: given a picklable
 :class:`ShardTask` it simulates each assigned unit as its **own**
 :class:`~repro.simulator.runtime.Runtime` in ``retention="sketch"`` and
-returns the shard's :class:`~repro.sharding.snapshot.ShardSnapshot` — the
-only thing that crosses the process boundary back.  It is a module-level
-function over frozen plain-data arguments, so it works under both ``fork``
-and ``spawn`` start methods (macOS/Windows default to ``spawn``).
+returns the shard's :class:`~repro.sharding.snapshot.ShardSnapshot` of
+:class:`~repro.sharding.snapshot.UnitResult` records, each holding the
+unit's sealed ``RunMetrics`` — the only thing that crosses the process
+boundary back.  It is a module-level function over frozen plain-data
+arguments, so it works under both ``fork`` and ``spawn`` start methods
+(macOS/Windows default to ``spawn``).
 
 :func:`run_sharded` is the driver: scatter the plan's unit assignments
-over a process pool, then merge the shard snapshots at the barrier with
+over worker processes with the experiment grid's order-preserving
+:func:`~repro.experiments.parallel.fan_out`, then merge the shard
+snapshots at the barrier with
 :func:`~repro.sharding.snapshot.merge_snapshots`.  Because each unit's
 trace window and seed derive only from the unit itself (see
 :func:`~repro.simulator.runtime.derive_slice_seed`), the merged snapshot
 is a pure function of the plan and the cell — any shard count, any process
-placement, same bits.
-
-Serial fallback contract: a daemonic caller
-(we're already inside someone's pool worker — nested pools are forbidden)
-or a pool that fails to start degrades to in-process execution with a
-``RuntimeWarning``; results are identical either way, only slower.
+placement, same bits.  ``fan_out`` degrades to in-process execution for a
+daemonic caller or a pool that fails to start; results are identical
+either way, only slower.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 
-from repro.experiments.parallel import EnvSpec, MultiAppCellSpec, _environment
+from repro.experiments.parallel import (
+    EnvSpec,
+    MultiAppCellSpec,
+    _environment,
+    fan_out,
+)
 from repro.sharding.plan import ShardPlan, ShardUnit
-from repro.sharding.snapshot import ShardSnapshot, UnitSnapshot, merge_snapshots
+from repro.sharding.snapshot import ShardSnapshot, UnitResult, merge_snapshots
 
 __all__ = ["ShardTask", "run_shard", "run_sharded"]
 
@@ -62,8 +64,8 @@ class ShardTask:
         )
 
 
-def _run_unit(task: ShardTask, unit: ShardUnit) -> UnitSnapshot:
-    """Simulate one unit as its own runtime; snapshot the sealed metrics."""
+def _run_unit(task: ShardTask, unit: ShardUnit) -> UnitResult:
+    """Simulate one unit as its own runtime; ship its sealed metrics."""
     from repro.simulator.runtime import Runtime, derive_slice_seed
 
     env = _environment(task.env_for(unit.app))
@@ -96,11 +98,16 @@ def _run_unit(task: ShardTask, unit: ShardUnit) -> UnitSnapshot:
     runtime.add_app(env.app, trace, policy, seed=seed)
     metrics = runtime.run()[env.app.name]
     wall = time.perf_counter() - wall_start
-    return UnitSnapshot.from_metrics(
-        metrics,
-        slice_index=unit.slice_index,
-        n_slices=unit.n_slices,
+    # The per-window samples stay here: they grow with the window count
+    # and no merged figure reads them.
+    metrics.pod_samples = []
+    metrics.arrival_samples = []
+    metrics.latency_sketch.flush()
+    return UnitResult(
+        unit=unit,
+        metrics=metrics,
         events_processed=runtime.events.processed,
+        arrivals=len(trace),
         wall_clock=wall,
     )
 
@@ -149,36 +156,10 @@ def run_sharded(
         ShardTask(shard_index=i, units=units, cell=cell)
         for i, units in enumerate(plan.assignments())
     ]
-    workers = len(tasks) if processes is None else min(processes, len(tasks))
-    if workers < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    if workers > 1 and multiprocessing.current_process().daemon:
-        warnings.warn(
-            "run_sharded called from a daemonic worker process; nested "
-            "process pools are not allowed, running shards serially "
-            "in-process (results are identical).",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        workers = 1
-    if workers == 1:
-        return merge_snapshots(*(run_shard(t) for t in tasks))
-    context = (
-        multiprocessing.get_context(mp_context)
-        if mp_context is not None
-        else None
+    snapshots = fan_out(
+        run_shard,
+        tasks,
+        workers=len(tasks) if processes is None else processes,
+        mp_context=mp_context,
     )
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            snapshots = list(pool.map(run_shard, tasks))
-    except OSError as exc:
-        warnings.warn(
-            f"shard worker pool failed to start ({exc}); falling back to "
-            "serial in-process execution (results are identical).",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        snapshots = [run_shard(t) for t in tasks]
-    return reduce(merge_snapshots, snapshots)
+    return merge_snapshots(*snapshots)

@@ -12,7 +12,8 @@ Everything the evaluation figures consume is recorded here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +24,24 @@ from repro.simulator.invocation import Invocation
 
 #: Recognised record-retention modes (see :class:`RunMetrics.retention`).
 RETENTION_MODES = ("full", "sketch")
+
+
+def summary_mismatches(a: dict, b: dict) -> list:
+    """Keys on which two summaries differ, in ``a``'s key order.
+
+    Values must be equal bit for bit; a NaN matches only a NaN (the
+    empty-run latency convention).  A key present on one side only is a
+    mismatch too.  Every exact-parity check (trace reconstruction, shard
+    parity, request-log replay) compares summaries through this one rule.
+    """
+
+    def same(x, y) -> bool:
+        floats = isinstance(x, float) and isinstance(y, float)
+        return x == y or (floats and math.isnan(x) and math.isnan(y))
+
+    return [k for k in a if k not in b or not same(a[k], b[k])] + [
+        k for k in b if k not in a
+    ]
 
 
 @dataclass(frozen=True)
@@ -118,50 +137,6 @@ class BillingFold:
             )
             for key, value in src.items():
                 row[key] += value
-
-    # ------------------------------------------------------------ snapshots
-    def to_state(self) -> tuple:
-        """Picklable plain-data state (used by :mod:`repro.sharding`).
-
-        ``per_function`` is flattened to a name-sorted tuple of rows so the
-        state is hashable and its equality is independent of dict insertion
-        order.
-        """
-        return (
-            self.total_cost,
-            self.cpu_cost,
-            self.gpu_cost,
-            self.init_cost,
-            self.busy_cost,
-            self.idle_cost,
-            self.instances,
-            tuple(
-                (fn, row["instances"], row["lifetime"], row["cost"], row["served"])
-                for fn, row in sorted(self.per_function.items())
-            ),
-        )
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "BillingFold":
-        """Rebuild a fold from a :meth:`to_state` snapshot (exact)."""
-        (total, cpu, gpu, init, busy, idle, instances, rows) = state
-        fold = cls(
-            total_cost=total,
-            cpu_cost=cpu,
-            gpu_cost=gpu,
-            init_cost=init,
-            busy_cost=busy,
-            idle_cost=idle,
-            instances=instances,
-        )
-        for fn, n, lifetime, cost, served in rows:
-            fold.per_function[fn] = {
-                "instances": n,
-                "lifetime": lifetime,
-                "cost": cost,
-                "served": served,
-            }
-        return fold
 
 
 @dataclass
@@ -289,6 +264,43 @@ class RunMetrics:
         self.duration = duration
         self.unfinished = unfinished
         self.invocations = [inv for inv in self.invocations if inv.finished]
+
+    def merge(self, other: "RunMetrics") -> None:
+        """Fold another sealed run of the same app, policy and SLA in.
+
+        The one rule for combining two runs, such as two time slices of
+        one trace on the shard plane: every integer counter and
+        ``duration`` add, ``peak_queue_depth`` takes the max, and the
+        latency sketch, latency stats and billing fold merge.  Counters
+        sum exactly and the folds add partial sums, so merging the same
+        runs in the same order reproduces the same bits.  Only
+        sketch-retention runs merge (a ``full`` run's latency store is a
+        record list, not a fold); the per-window ``pod_samples`` and
+        ``arrival_samples`` are left as they are.
+        """
+        if self.retention != "sketch" or other.retention != "sketch":
+            raise ValueError(
+                "only retention='sketch' runs merge; got "
+                f"{self.retention!r} and {other.retention!r}"
+            )
+        ours = (self.app, self.policy, self.sla)
+        theirs = (other.app, other.policy, other.sla)
+        if ours != theirs:
+            raise ValueError(
+                f"cannot merge runs that disagree on app/policy/SLA: "
+                f"{ours} vs {theirs}"
+            )
+        # Every int field is an additive counter except the queue peak.
+        for f in fields(self):
+            if f.type == "int" and f.name != "peak_queue_depth":
+                setattr(
+                    self, f.name, getattr(self, f.name) + getattr(other, f.name)
+                )
+        self.peak_queue_depth = max(self.peak_queue_depth, other.peak_queue_depth)
+        self.duration += other.duration
+        self.latency_sketch.merge(other.latency_sketch)
+        self.latency_stats.merge(other.latency_stats)
+        self.billing.merge(other.billing)
 
     @property
     def n_completed(self) -> int:

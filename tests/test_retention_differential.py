@@ -104,7 +104,7 @@ def assert_equivalent(
     assert full.backend_cost(Backend.GPU) == sketch.backend_cost(Backend.GPU)
     # Billing is one exact fold in both modes; retention only picks the
     # latency store, and sketch mode keeps no per-invocation records.
-    assert full.billing.to_state() == sketch.billing.to_state()
+    assert full.billing == sketch.billing
     assert sketch.invocations == []
     assert len(full.invocations) == full.n_completed
 

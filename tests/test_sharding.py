@@ -3,7 +3,7 @@
 The merge-algebra property tests pin the invariant the whole plane is
 built on: :func:`repro.sharding.merge_snapshots` is commutative and
 associative **bit for bit** — any shard ordering, any merge tree, same
-snapshot, same collapsed metrics.  The pickling tests pin spawn safety:
+snapshot, same metrics collapsed by ``RunMetrics.merge``.  The pickling tests pin spawn safety:
 every object that crosses a process boundary round-trips through pickle
 (the spawn start method's transport) unchanged.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import pickle
 import warnings
+from dataclasses import fields
 from functools import reduce
 
 import pytest
@@ -22,19 +23,17 @@ from hypothesis import strategies as st
 from repro.experiments.parallel import EnvSpec, MultiAppCellSpec
 from repro.experiments.scenario import ScenarioSpec
 from repro.faults.plan import ExecutionFault, FaultPlan, ResilienceSpec
-from repro.metrics import QuantileSketch
-from repro.metrics.sketch import StreamingStats
 from repro.sharding import (
     ShardPlan,
     ShardSnapshot,
     ShardTask,
     ShardUnit,
-    UnitSnapshot,
+    UnitResult,
     clamp_shard_workers,
     merge_snapshots,
     run_sharded,
 )
-from repro.simulator.metrics import BillingFold
+from repro.simulator.metrics import BillingFold, RunMetrics
 from repro.simulator.runtime import derive_app_seed, derive_slice_seed
 
 
@@ -139,39 +138,61 @@ class TestSliceSeeds:
 
 
 # --------------------------------------------------------------------------
-# Synthetic unit snapshots for the merge-algebra property tests: real
-# accumulator states (sketch/stats/billing round-tripped through to_state)
-# without paying for simulations.
+# Synthetic unit results for the merge-algebra property tests: real sealed
+# sketch-retention metrics, shipped the way a worker ships them (sketch
+# flushed), without paying for simulations.
 # --------------------------------------------------------------------------
+
+#: RunMetrics' additive integer counters; peak_queue_depth merges by max.
+ADDITIVE_COUNTERS = (
+    "unfinished",
+    "stage_executions",
+    "cold_stage_executions",
+    "initializations",
+    "failed_initializations",
+    "timed_out",
+    "stage_retries",
+    "failed_executions",
+    "fallbacks",
+    "swap_ins",
+    "shed",
+    "rejected",
+    "injected_arrivals",
+    "completed_count",
+    "sla_violation_count",
+    "within_sla_count",
+)
 
 
 def _synthetic_unit(
     app: str, slice_index: int, n_slices: int, latencies: list[float]
-) -> UnitSnapshot:
-    sketch = QuantileSketch()
-    stats = StreamingStats()
-    for lat in latencies:
-        sketch.add(lat)
-        stats.add(lat)
-    billing = BillingFold(
-        total_cost=0.25 * (slice_index + 1),
-        cpu_cost=0.25 * (slice_index + 1),
-        instances=len(latencies),
-    )
-    return UnitSnapshot(
+) -> UnitResult:
+    metrics = RunMetrics(
         app=app,
         policy="p",
         sla=2.0,
-        slice_index=slice_index,
-        n_slices=n_slices,
+        retention="sketch",
         duration=100.0,
-        counters=tuple(
-            (slice_index + 1) * (i + 1) for i in range(12)
+        billing=BillingFold(
+            total_cost=0.25 * (slice_index + 1),
+            cpu_cost=0.25 * (slice_index + 1),
+            instances=len(latencies),
         ),
-        sketch_state=sketch.to_state(),
-        stats_state=stats.to_state(),
-        billing_state=billing.to_state(),
+    )
+    for lat in latencies:
+        metrics.latency_sketch.add(lat)
+        metrics.latency_stats.add(lat)
+    metrics.latency_sketch.flush()
+    # Every counter nonzero and distinct, so a dropped or swapped field
+    # shows in the sums.
+    for i, name in enumerate(ADDITIVE_COUNTERS):
+        setattr(metrics, name, (slice_index + 1) * (i + 1))
+    metrics.peak_queue_depth = (slice_index * 5) % 7 + 1
+    return UnitResult(
+        unit=ShardUnit(app=app, slice_index=slice_index, n_slices=n_slices),
+        metrics=metrics,
         events_processed=7 * (slice_index + 1),
+        arrivals=11 * (slice_index + 1),
         wall_clock=0.5,
     )
 
@@ -270,31 +291,47 @@ class TestMergeAlgebra:
         snap = ShardSnapshot(units=tuple(units))
         metrics = snap.per_app_metrics()["a"]
         # counters were (slice+1)*(i+1): summed over slices = 6*(i+1).
-        assert metrics.unfinished == 6 * 1
-        assert metrics.stage_executions == 6 * 3
-        assert metrics.completed_count == 6 * 10
+        for i, name in enumerate(ADDITIVE_COUNTERS):
+            assert getattr(metrics, name) == 6 * (i + 1), name
+        assert metrics.peak_queue_depth == max(
+            u.metrics.peak_queue_depth for u in units
+        )
         assert metrics.duration == 300.0
+        assert metrics.billing.total_cost == 0.25 + 0.5 + 0.75
+        assert metrics.latency_stats.count == 3
         assert snap.events_processed == 7 * (1 + 2 + 3)
+        assert snap.arrivals() == {"a": 11 * (1 + 2 + 3)}
+
+    def test_every_int_field_is_a_counter_or_the_peak(self):
+        # RunMetrics.merge sums every int field but the queue peak; a new
+        # int field that must not sum has to be handled there first.
+        ints = {f.name for f in fields(RunMetrics) if f.type == "int"}
+        assert ints == set(ADDITIVE_COUNTERS) | {"peak_queue_depth"}
+
+    def test_collapse_is_pure(self):
+        units = [_synthetic_unit("a", i, 2, [1.0, 3.0]) for i in range(2)]
+        snap = ShardSnapshot(units=tuple(units))
+        before = pickle.dumps(snap)
+        first = snap.per_app_metrics()["a"]
+        assert snap.per_app_metrics()["a"] == first
+        assert pickle.loads(before) == snap
 
 
-class TestUnitSnapshotRoundTrip:
-    def test_from_metrics_requires_sketch_retention(self):
-        from repro.simulator.metrics import RunMetrics
-
+class TestRunMetricsMerge:
+    def test_merge_requires_sketch_retention(self):
+        sketch = _synthetic_unit("a", 0, 1, [1.0]).metrics
         full = RunMetrics(app="a", policy="p", sla=2.0, retention="full")
         with pytest.raises(ValueError, match="retention='sketch'"):
-            UnitSnapshot.from_metrics(full)
+            sketch.merge(full)
+        with pytest.raises(ValueError, match="retention='sketch'"):
+            full.merge(sketch)
 
-    def test_to_metrics_is_exact(self):
-        unit = _synthetic_unit("a", 0, 1, [0.5, 1.5, 2.5])
-        metrics = unit.to_metrics()
-        assert metrics.retention == "sketch"
-        assert metrics.latency_stats.to_state() == unit.stats_state
-        assert metrics.latency_sketch.to_state() == unit.sketch_state
-        assert metrics.billing.to_state() == unit.billing_state
-        assert UnitSnapshot.from_metrics(metrics).sketch_state == (
-            unit.sketch_state
-        )
+    def test_merge_rejects_mismatched_runs(self):
+        a = _synthetic_unit("a", 0, 1, [1.0]).metrics
+        b = _synthetic_unit("a", 0, 1, [1.0]).metrics
+        b.sla = 4.0
+        with pytest.raises(ValueError, match="app/policy/SLA"):
+            a.merge(b)
 
 
 class TestSpawnSafety:
@@ -457,7 +494,9 @@ class TestCliBenchGuards:
         assert code == 0
         capsys.readouterr()
         record = json.loads(out.read_text())
-        assert record["generated_by"] == "repro bench --macro --shards"
+        assert record["generated_by"] == (
+            "repro bench --macro --invocations 3000 --shards 2"
+        )
         if record["workers_effective"] > 1:
             assert record["parity"] == "exact", record
         else:

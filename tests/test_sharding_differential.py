@@ -252,11 +252,38 @@ class TestOverloadParity:
         assert m.rejected > 0
         assert m.injected_arrivals > 0
         # peak depth merges by max over units, never exceeding the bound.
-        units = [u for u in sharded.units if u.app == "image-query"]
-        assert m.peak_queue_depth == max(u.peak_queue_depth for u in units)
+        units = [u for u in sharded.units if u.unit.app == "image-query"]
+        assert m.peak_queue_depth == max(
+            u.metrics.peak_queue_depth for u in units
+        )
         assert m.peak_queue_depth <= overload.queue_limit
         # Extended conservation across the slice boundaries.
         arrivals = len(_environment(cell.envs[0]).trace)
         assert arrivals + m.injected_arrivals == (
             m.n_completed + m.unfinished + m.timed_out + m.shed + m.rejected
+        )
+
+
+class TestShardedCellExtras:
+    """A sharded cell reports extras from its merged metrics, as
+    ``run_cell`` does for a shared-cluster cell."""
+
+    def test_extras_come_from_merged_metrics(self):
+        cell = _cell(
+            ["image-query"], 120.0, retention="sketch", shards=2,
+            slices_per_app=2,
+        )
+        res = run_cell(cell)
+        extras = res.extras["image-query"]
+        merged = run_sharded(
+            ShardPlan.for_apps(["image-query"], n_shards=1, slices_per_app=2),
+            cell,
+            processes=1,
+        ).per_app_metrics()["image-query"]
+        assert extras["arrivals"] == len(_environment(cell.envs[0]).trace)
+        assert extras["initializations"] == merged.initializations > 0
+        assert extras["completed"] == merged.completed_count
+        assert extras["arrivals"] + extras["injected_arrivals"] == (
+            extras["completed"] + extras["unfinished"] + extras["timed_out"]
+            + extras["shed"] + extras["rejected"]
         )

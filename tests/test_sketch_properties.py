@@ -120,7 +120,7 @@ class TestRankErrorBound:
     def test_centroid_count_bounded(self):
         # Memory contract: centroids never exceed ~2 * compression.
         sketch = fill(DISTRIBUTIONS["lognormal"])
-        sketch._flush()
+        sketch.flush()
         assert sketch._means.size <= 2 * sketch.compression
 
 

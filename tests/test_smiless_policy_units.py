@@ -6,6 +6,7 @@ import pytest
 from repro.core.prewarming import ColdStartPolicy
 from repro.dag import image_query
 from repro.policies import SMIlessPolicy
+from repro.policies.smiless import linear_quantile
 from repro.profiler import oracle_profile
 
 
@@ -105,3 +106,58 @@ class TestConstruction:
         strategy = policy._strategy_for(5.0)
         for fn in app.function_names:
             assert 1 <= policy._standing_batch(fn, strategy) <= 8
+
+
+class TestLinearQuantile:
+    """``linear_quantile`` is ``np.quantile`` bit for bit, only cheaper."""
+
+    @staticmethod
+    def assert_bitwise(values, q):
+        expected = float(np.quantile(values, q))
+        got = linear_quantile(values, q)
+        assert got == expected and np.signbit(got) == np.signbit(expected), (
+            values.tolist(),
+            q,
+        )
+
+    def test_seeded_random_windows(self):
+        rng = np.random.default_rng(7)
+        for trial in range(4000):
+            n = int(rng.integers(1, 11))
+            if trial % 2:
+                values = rng.integers(1, 120, n).astype(float)
+            else:
+                values = rng.exponential(4.0, n)
+            for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+                self.assert_bitwise(values, q)
+
+    def test_every_window_of_the_chaos_corun(self, monkeypatch):
+        from repro.experiments.runners import PAPER_APPS, build_environment
+        from repro.policies import smiless
+        from repro.simulator import Deployment, MultiAppSimulator
+        from repro.simulator.cluster import Cluster
+        from tests.test_chaos_corun_golden import CHAOS_FAULTS, CHAOS_OVERLOAD
+
+        seen = []
+
+        def checked(values, q):
+            self.assert_bitwise(values, q)
+            seen.append(q)
+            return linear_quantile(values, q)
+
+        monkeypatch.setattr(smiless, "linear_quantile", checked)
+        envs = [
+            build_environment(
+                name, preset="bursty", duration=120.0, train_duration=600.0,
+                seed=0,
+            )
+            for name in PAPER_APPS
+        ]
+        MultiAppSimulator(
+            [Deployment(e.app, e.trace, e.make_policy("smiless")) for e in envs],
+            seed=3,
+            cluster=Cluster.build(n_machines=3),
+            faults=CHAOS_FAULTS,
+            overload=CHAOS_OVERLOAD,
+        ).run()
+        assert {0.25, 0.9} <= set(seen)

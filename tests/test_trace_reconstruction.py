@@ -59,7 +59,7 @@ def assert_metrics_equal(live, rebuilt):
     assert rebuilt.pod_samples == live.pod_samples
     assert rebuilt.arrival_samples == live.arrival_samples
     assert rebuilt.total_cost() == live.total_cost()
-    assert rebuilt.billing.to_state() == live.billing.to_state()
+    assert rebuilt.billing == live.billing
     assert [i.latency for i in rebuilt.invocations] == [
         i.latency for i in live.invocations
     ]
