@@ -10,10 +10,12 @@ paths of the gateway's fault and overload planes.  The golden pins every
 per-app ``summary()`` and ``dispositions()``, the failure and retry
 counters, the graceful-degradation steps by reason and the processed event
 count; the values were captured from the engine before the planes moved
-out of ``Gateway``, so exact equality pins that move bit for bit.
+out of ``Gateway``, so exact equality pins that move bit for bit.  The
+recorded traces are pinned too, by event count and JSONL digest.
 """
 
 import collections
+import functools
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.overload.spec import OverloadSpec
 from repro.simulator import Deployment, MultiAppSimulator
 from repro.simulator.cluster import Cluster
 from repro.telemetry.recorder import TraceRecorder
+from tests.test_trace_digests import trace_digest
 
 CHAOS_FAULTS = FaultPlan(
     outages=(MachineOutage(machine=1, start=30.0, end=70.0),),
@@ -284,11 +287,16 @@ CHAOS_EVENTS = {
     "grandslam": 3566,
     "smiless": 7987,
 }
+#: (JSONL digest, recorded event count) of each chaos run's trace.
+CHAOS_TRACE = {
+    "grandslam": ("d4279bf9af57a808b0d3e0c3a247e9e1", 8233),
+    "smiless": ("b3190bba375222e740915c8211f62e7c", 13828),
+}
 
 
-@pytest.fixture(scope="module", params=sorted(CHAOS_GOLDEN))
-def chaos_run(request):
-    policy = request.param
+@functools.lru_cache(maxsize=None)
+def chaos_trace(policy):
+    """``(simulator, metrics, recorder)`` of one chaos co-run, run once."""
     envs = [
         build_environment(
             name, preset="bursty", duration=120.0, train_duration=600.0, seed=0
@@ -304,7 +312,12 @@ def chaos_run(request):
         overload=CHAOS_OVERLOAD,
         recorder=recorder,
     )
-    return policy, sim, sim.run(), recorder
+    return sim, sim.run(), recorder
+
+
+@pytest.fixture(scope="module", params=sorted(CHAOS_GOLDEN))
+def chaos_run(request):
+    return (request.param, *chaos_trace(request.param))
 
 
 def test_chaos_corun_bit_identical(chaos_run):
@@ -321,3 +334,10 @@ def test_chaos_corun_bit_identical(chaos_run):
         by_reason = {r: n for (a, r), n in sorted(fallbacks.items()) if a == app}
         assert by_reason == golden["fallbacks"], app
     assert sim.events.processed == CHAOS_EVENTS[policy]
+
+
+def test_chaos_trace_digest(chaos_run, tmp_path):
+    policy, _, _, recorder = chaos_run
+    digest, n_events = CHAOS_TRACE[policy]
+    assert len(recorder.events) == n_events
+    assert trace_digest(recorder.events, tmp_path) == digest
