@@ -335,7 +335,11 @@ def _seconds_since_process_start() -> float | None:
 
 
 def _bench_provenance() -> dict:
-    """Where a bench record was measured: code, apps, host, toolchain."""
+    """Where a bench record was measured: code, apps, host, toolchain.
+
+    ``git_dirty`` says whether tracked files differed from ``git_sha``
+    when the record was made; both are ``None`` without git.
+    """
     import platform
     import socket
     import subprocess
@@ -343,19 +347,25 @@ def _bench_provenance() -> dict:
     import numpy as np
 
     root = Path(__file__).resolve().parents[2]
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        proc = None
-    sha = proc.stdout.strip() if proc and proc.returncode == 0 else ""
+
+    def git(*cmd: str) -> str | None:
+        try:
+            proc = subprocess.run(
+                ["git", *cmd],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
     return {
-        "git_sha": sha or None,
+        "git_sha": (sha or "").strip() or None,
+        "git_dirty": None if status is None else bool(status.strip()),
         "apps": list(PAPER_APPS),
         "hostname": socket.gethostname(),
         "cpu_count": os.cpu_count(),
@@ -433,8 +443,16 @@ def cmd_bench(args) -> int:
     )
     res = run_cell(spec)
     # ru_maxrss is KiB on Linux: the process-lifetime peak, which is the
-    # macro bench's headline (environment build + full co-run).
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # macro bench's headline (environment build + full co-run).  A sharded
+    # run does its work in worker processes, whose peak the finished
+    # pool leaves in RUSAGE_CHILDREN.
+    peak_rss_mb = (
+        max(
+            resource.getrusage(who).ru_maxrss
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        )
+        / 1024.0
+    )
     completed = sum(s["invocations"] for s in res.summary.values())
     record = {
         "generated_by": _bench_command(args),

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.faults.plan import FaultPlan
     from repro.overload.spec import OverloadSpec
     from repro.simulator import MultiAppSimulator
-    from repro.telemetry.recorder import Recorder
+    from repro.telemetry.recorder import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def _metrics_extras(metrics, *, arrivals: int) -> dict:
 
 
 def cell_simulator(
-    spec: MultiAppCellSpec, *, recorder: "Recorder | None" = None
+    spec: MultiAppCellSpec, *, recorder: "TraceRecorder | None" = None
 ) -> "tuple[list, MultiAppSimulator]":
     """Build a shared-cluster cell's environments and its ready simulator.
 

@@ -193,12 +193,13 @@ class OverloadPlane:
                     gw._activate_fallback(
                         fn, directive.config, degraded, reason="brownout"
                     )
-                    gw.record_directive(
-                        fn,
-                        gw.directives[fn],
-                        f"brownout: queue delay {delay:.2f}s > "
-                        f"{spec.brownout_queue_delay:.2f}s",
-                    )
+                    if gw.telemetry is not None:
+                        gw.telemetry.directive(
+                            fn,
+                            gw.directives[fn],
+                            f"brownout: queue delay {delay:.2f}s > "
+                            f"{spec.brownout_queue_delay:.2f}s",
+                        )
             elif directive.config != degraded:
                 # The policy replaced the degraded directive meanwhile;
                 # it owns the function again.
@@ -209,9 +210,10 @@ class OverloadPlane:
                 gw._activate_fallback(
                     fn, degraded, saved.config, reason="brownout-restore"
                 )
-                gw.record_directive(
-                    fn,
-                    saved,
-                    f"brownout recovered: queue delay {delay:.2f}s <= "
-                    f"{spec.brownout_recover_delay:.2f}s",
-                )
+                if gw.telemetry is not None:
+                    gw.telemetry.directive(
+                        fn,
+                        saved,
+                        f"brownout recovered: queue delay {delay:.2f}s <= "
+                        f"{spec.brownout_recover_delay:.2f}s",
+                    )

@@ -18,16 +18,18 @@ capacity requests, billing records — while the policy supplies *decisions*
 through :class:`~repro.simulator.invocation.FunctionDirective` updates and
 pre-warm requests.
 
-The core owns queues, pools, launch, dispatch, terminate, billing and
-telemetry emission, plus the primitives the beyond-paper planes drive: a
-graceful-degradation record (``_activate_fallback``) and the teardown of
-an invocation it gives up on (``_give_up``).  The planes live beside the
-specs that declare them — :class:`~repro.faults.plane.FaultPlane`
-(injected faults, retries, deadlines, crash loops, GPU starvation, flash
-crowds, retry storms) and :class:`~repro.overload.plane.OverloadPlane`
-(admission, bounded-queue shedding, circuit breakers, brownout).  A
-gateway holds one reference to each, ``None`` when the run has no such
-spec, so a plane that is off costs one attribute check per hook.
+The core owns queues, pools, launch, dispatch, terminate and billing,
+plus the primitives the beyond-paper planes drive: a graceful-degradation
+record (``_activate_fallback``) and the teardown of an invocation it gives
+up on (``_give_up``).  The planes live beside what declares them —
+:class:`~repro.faults.plane.FaultPlane` (injected faults, retries,
+deadlines, crash loops, GPU starvation, flash crowds, retry storms),
+:class:`~repro.overload.plane.OverloadPlane` (admission, bounded-queue
+shedding, circuit breakers, brownout) and
+:class:`~repro.telemetry.plane.TelemetryPlane` (event emission).  A
+gateway holds one reference to each, ``None`` when the run has no fault
+plan, overload spec or recorder, so a plane that is off costs one
+attribute check per hook.
 
 Stage dispatch rules (the Gateway + per-instance Agent of §VI):
 
@@ -49,13 +51,11 @@ O(live events) instead of O(trace length)), and keep-alive expiry timers
 are cancelled on dispatch instead of left to fire as dead closures.
 
 Observability (see ``docs/observability.md``): every point that mutates a
-:class:`~repro.simulator.metrics.RunMetrics` counter also emits a typed
-:mod:`repro.telemetry.events` event through the runtime's recorder, so
-the metrics are reconstructible from a recorded trace
-(:func:`repro.telemetry.aggregate.aggregate`).  Emission is guarded by
-one ``self._rec is not None`` check per site; under the default
-:class:`~repro.telemetry.recorder.NullRecorder` no event object is ever
-built and the hot loop is unchanged.
+:class:`~repro.simulator.metrics.RunMetrics` counter also calls the
+telemetry plane's hook for that fact, so the metrics are reconstructible
+from a recorded trace (:func:`repro.telemetry.aggregate.aggregate`).
+Without a recorder ``self.telemetry`` is ``None``: no event object is
+ever built and the hot loop is unchanged.
 """
 
 from __future__ import annotations
@@ -76,49 +76,13 @@ from repro.simulator.container import Instance, InstanceState
 from repro.simulator.invocation import FunctionDirective, Invocation
 from repro.simulator.metrics import InstanceUsage, RunMetrics
 from repro.simulator.pools import InstancePool
-from repro.telemetry.events import (
-    Arrival,
-    ColdStart,
-    DirectiveChanged,
-    ExecutionFailed,
-    FallbackActivated,
-    InstanceExpired,
-    InstanceInitFailed,
-    InstanceLaunched,
-    InstanceSwappedIn,
-    InvocationFinished,
-    InvocationRejected,
-    InvocationShed,
-    InvocationTimedOut,
-    ModelEvicted,
-    PrewarmHit,
-    PrewarmMiss,
-    PrewarmScheduled,
-    RunFinished,
-    RunStarted,
-    SlaViolation,
-    StageFinish,
-    StageReady,
-    StageRetried,
-    StageStart,
-    TokenStage,
-    WindowTick,
-)
+from repro.telemetry.plane import TelemetryPlane
 from repro.utils.rng import ensure_rng
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.policies.base import Policy
     from repro.simulator.runtime import Runtime
-
-#: Termination reasons that mean a pre-warmed instance genuinely expired
-#: unused — the only ones that should count as a :class:`PrewarmMiss`.
-#: Run shutdown, init failures and fault-injected kills (machine outages,
-#: mid-flight execution failures) say nothing about the policy's warm-up
-#: prediction being wrong.
-_GENUINE_EXPIRY = frozenset(
-    {"keep-alive-expired", "keep-alive-sweep", "scale-in", "stale-config"}
-)
 
 #: Control-window length in seconds (the paper's 1 s counting window).
 #: Predictors train on per-window counts of this length
@@ -168,7 +132,8 @@ class SimulationContext:
         if function not in self._gw.app.function_names:
             raise KeyError(f"unknown function {function!r}")
         self._gw.directives[function] = directive
-        self._gw.record_directive(function, directive, reason)
+        if self._gw.telemetry is not None:
+            self._gw.telemetry.directive(function, directive, reason)
 
     def schedule_warmup(
         self,
@@ -238,30 +203,22 @@ class Gateway:
         runtime: "Runtime",
         seed: int = 0,
         noisy: bool = True,
-        gpu_contention: float = 0.0,
     ) -> None:
-        if gpu_contention < 0.0:
-            raise ValueError(
-                f"gpu_contention must be >= 0, got {gpu_contention}"
-            )
         self.app = app
         self.trace = trace
         self.policy = policy
         self.runtime = runtime
         self.cluster = runtime.cluster
         self.events = runtime.events
-        # Telemetry: `None` under the NullRecorder so every emission point
-        # is a single attribute check and no event object is built.
-        self._rec = runtime.recorder if runtime.recorder.enabled else None
         self.seed = seed
         # Run-wide setting, copied from the runtime so the hot path reads
         # its own attribute.
         self.init_failure_rate = runtime.init_failure_rate
-        self.gpu_contention = float(gpu_contention)
         root = ensure_rng(seed)
         self._fault_rng = np.random.default_rng(int(root.integers(2**32)))
-        # The fault and overload planes: `None` without a fault plan /
-        # overload spec, so each hook below is a single attribute check.
+        # The fault, overload and telemetry planes: `None` without a fault
+        # plan / overload spec / recorder, so each hook below is a single
+        # attribute check and an untraced run builds no event object.
         self.fault_plane = (
             FaultPlane(runtime.faults, self)
             if runtime.faults is not None
@@ -270,6 +227,11 @@ class Gateway:
         self.overload_plane = (
             OverloadPlane(runtime.overload, self)
             if runtime.overload is not None
+            else None
+        )
+        self.telemetry = (
+            TelemetryPlane(runtime.recorder, self)
+            if runtime.recorder is not None
             else None
         )
         self.oracles: dict[str, GroundTruthPerformance] = {
@@ -339,17 +301,8 @@ class Gateway:
         Sequence blocks are reserved up front so simultaneous events
         tie-break exactly as a fully pre-pushed schedule would.
         """
-        if self._rec is not None:
-            self._rec.emit(
-                RunStarted(
-                    t=self.events.now,
-                    app=self.app.name,
-                    policy=self.policy.name,
-                    sla=self.app.sla,
-                    window=WINDOW,
-                    functions=tuple(self.app.function_names),
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.run_started()
         self.policy.on_register(self.app, self.ctx)
         for fn in self.app.function_names:
             if fn not in self.directives:
@@ -381,25 +334,6 @@ class Gateway:
     def open_invocations(self) -> int:
         """Invocations that have arrived but not completed."""
         return self._open_invocations
-
-    def record_directive(
-        self, function: str, directive: FunctionDirective, reason: str
-    ) -> None:
-        """Emit the ``DirectiveChanged`` audit event for one update."""
-        if self._rec is not None:
-            self._rec.emit(
-                DirectiveChanged(
-                    t=self.events.now,
-                    app=self.app.name,
-                    function=function,
-                    config=directive.config.key,
-                    keep_alive=directive.keep_alive,
-                    batch=directive.batch,
-                    min_warm=directive.min_warm,
-                    warm_grace=directive.warm_grace,
-                    reason=reason,
-                )
-            )
 
     # ------------------------------------------------------------- arrivals
     def _stream_arrivals(
@@ -452,12 +386,8 @@ class Gateway:
         self._current_window_count += 1
         if self.fault_plane is not None:
             self.fault_plane.track(inv, generation)
-        if self._rec is not None:
-            self._rec.emit(
-                Arrival(
-                    t=t, app=self.app.name, invocation_id=inv.invocation_id
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.arrival(inv)
         self.policy.on_arrival(inv, self.ctx)
         for fn in self.app.sources():
             self._stage_ready(inv, fn)
@@ -466,14 +396,8 @@ class Gateway:
     def _reject(self, inv: Invocation, generation: int) -> None:
         """Turn an arrival away at the front door (admission control)."""
         self.metrics.rejected += 1
-        if self._rec is not None:
-            self._rec.emit(
-                InvocationRejected(
-                    t=inv.arrival,
-                    app=self.app.name,
-                    invocation_id=inv.invocation_id,
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.rejected(inv)
         if self.fault_plane is not None:
             self.fault_plane.resubmit(inv.arrival, generation)
         if self._on_done is not None:
@@ -484,15 +408,8 @@ class Gateway:
         if overload is not None and not overload.admit_to_queue(inv, fn):
             return
         inv.stage(fn).ready_at = self.events.now
-        if self._rec is not None:
-            self._rec.emit(
-                StageReady(
-                    t=self.events.now,
-                    app=self.app.name,
-                    invocation_id=inv.invocation_id,
-                    function=fn,
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.stage_ready(inv, fn)
         self.queues[fn].append(inv)
         self._dispatch(fn)
 
@@ -541,14 +458,6 @@ class Gateway:
         exec_time = self.oracles[inst.function].inference_time(
             inst.config, batch_n, work=work
         )
-        if self.gpu_contention > 0.0 and inst.config.backend is Backend.GPU:
-            # MPS co-location slowdown (§IV-A2: PCIe/GPU-memory contention
-            # between instances sharing a device): scale with the fraction
-            # of the device allocated to *other* instances.
-            machine = self.cluster.machines[inst.placement.machine]
-            others = machine.gpu_slots_used - inst.config.mps_slots
-            share = max(0, others) / machine.gpu_slots_total
-            exec_time *= 1.0 + self.gpu_contention * share
         fail_at: float | None = None
         if self.fault_plane is not None:
             exec_time, fail_at = self.fault_plane.execution(
@@ -570,66 +479,8 @@ class Gateway:
             cold += rec.cold_start
         self.metrics.stage_executions += batch_n
         self.metrics.cold_stage_executions += cold
-        if self._rec is not None:
-            # Prefill/decode attribution of the sampled wall-clock time:
-            # split pro rata by the service model's phase expectations, so
-            # the two phases sum to exec_time exactly (noise and fixed
-            # overhead apportioned proportionally).
-            token_split: tuple[float, float] | None = None
-            if work is not None:
-                model = self.oracles[inst.function].profile.service_model
-                if model is not None and hasattr(model, "split"):
-                    pre, dec = model.split(inst.config, batch_n, work)
-                    if pre + dec > 0.0:
-                        prefill = exec_time * pre / (pre + dec)
-                        token_split = (prefill, exec_time - prefill)
-            if inst.prewarmed and inst.batches_served == 1:
-                self._rec.emit(
-                    PrewarmHit(
-                        t=now,
-                        app=self.app.name,
-                        function=inst.function,
-                        instance_id=inst.instance_id,
-                        idle_wait=now - inst.warm_at,
-                    )
-                )
-            for inv in items:
-                rec = inv.stage(inst.function)
-                self._rec.emit(
-                    StageStart(
-                        t=now,
-                        app=self.app.name,
-                        invocation_id=inv.invocation_id,
-                        function=inst.function,
-                        instance_id=inst.instance_id,
-                        batch=batch_n,
-                        cold=rec.cold_start,
-                    )
-                )
-                if rec.cold_start:
-                    self._rec.emit(
-                        ColdStart(
-                            t=now,
-                            app=self.app.name,
-                            invocation_id=inv.invocation_id,
-                            function=inst.function,
-                            instance_id=inst.instance_id,
-                            wait=now - (rec.ready_at or 0.0),
-                        )
-                    )
-                if token_split is not None and inv.work is not None:
-                    self._rec.emit(
-                        TokenStage(
-                            t=now,
-                            app=self.app.name,
-                            invocation_id=inv.invocation_id,
-                            function=inst.function,
-                            tokens_in=inv.work.tokens_in,
-                            tokens_out=inv.work.tokens_out,
-                            prefill=token_split[0],
-                            decode=token_split[1],
-                        )
-                    )
+        if self.telemetry is not None:
+            self.telemetry.batch_started(inst, items, exec_time, work)
         # Track the batch so a machine outage can cancel it mid-flight and
         # hand the items to the retry path.
         inst.inflight = items
@@ -661,16 +512,8 @@ class Gateway:
                 continue
             inv.stage(fn).finished_at = now
             inv.remaining -= 1  # type: ignore[attr-defined]
-            if self._rec is not None:
-                self._rec.emit(
-                    StageFinish(
-                        t=now,
-                        app=self.app.name,
-                        invocation_id=inv.invocation_id,
-                        function=fn,
-                        instance_id=inst.instance_id,
-                    )
-                )
+            if self.telemetry is not None:
+                self.telemetry.stage_finished(inv, fn, inst)
             self.policy.on_stage_complete(inv, fn, self.ctx)
             stages = inv.stages
             for succ, preds in downstream:
@@ -687,26 +530,8 @@ class Gateway:
                     faults.release(inv)
                 latency = now - inv.arrival
                 self.metrics.record_completion(latency)
-                if self._rec is not None:
-                    self._rec.emit(
-                        InvocationFinished(
-                            t=now,
-                            app=self.app.name,
-                            invocation_id=inv.invocation_id,
-                            latency=latency,
-                        )
-                    )
-                    # Same epsilon as RunMetrics.record_completion.
-                    if latency > self.app.sla + 1e-9:
-                        self._rec.emit(
-                            SlaViolation(
-                                t=now,
-                                app=self.app.name,
-                                invocation_id=inv.invocation_id,
-                                latency=latency,
-                                sla=self.app.sla,
-                            )
-                        )
+                if self.telemetry is not None:
+                    self.telemetry.completed(inv, latency)
                 if self._on_done is not None:
                     self._on_done(inv, "completed")
         if self.overload_plane is not None:
@@ -740,16 +565,8 @@ class Gateway:
         """An injected fault killed the batch mid-flight."""
         fn = inst.function
         self.metrics.failed_executions += 1
-        if self._rec is not None:
-            self._rec.emit(
-                ExecutionFailed(
-                    t=self.events.now,
-                    app=self.app.name,
-                    function=fn,
-                    instance_id=inst.instance_id,
-                    batch=len(inst.inflight),
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.execution_failed(inst)
         if self.overload_plane is not None:
             self.overload_plane.batch_failed(fn)
         self._kill(inst, reason="execution-failed")
@@ -790,17 +607,8 @@ class Gateway:
                 self._give_up(inv, "timed_out", reason="retries-exhausted")
                 continue
             self.metrics.stage_retries += 1
-            if self._rec is not None:
-                self._rec.emit(
-                    StageRetried(
-                        t=self.events.now,
-                        app=self.app.name,
-                        invocation_id=inv.invocation_id,
-                        function=fn,
-                        attempt=inv.retries,
-                        delay=delay,
-                    )
-                )
+            if self.telemetry is not None:
+                self.telemetry.retried(inv, fn, delay)
             self.events.schedule_in(delay, self._make_retry(inv, fn))
 
     def _make_retry(self, inv: Invocation, fn: str):
@@ -853,29 +661,10 @@ class Gateway:
         self._open_invocations -= 1
         if shed:
             self.metrics.shed += 1
-            if self._rec is not None:
-                self._rec.emit(
-                    InvocationShed(
-                        t=now,
-                        app=self.app.name,
-                        invocation_id=inv.invocation_id,
-                        function=function,
-                        reason=reason,
-                        age=now - inv.arrival,
-                    )
-                )
         else:
             self.metrics.timed_out += 1
-            if self._rec is not None:
-                self._rec.emit(
-                    InvocationTimedOut(
-                        t=now,
-                        app=self.app.name,
-                        invocation_id=inv.invocation_id,
-                        reason=reason,
-                        age=now - inv.arrival,
-                    )
-                )
+        if self.telemetry is not None:
+            self.telemetry.gave_up(inv, status, reason=reason, function=function)
         if self._on_done is not None:
             self._on_done(inv, status)
 
@@ -889,17 +678,8 @@ class Gateway:
     ) -> None:
         """Record one graceful-degradation step (a plane degraded ``fn``)."""
         self.metrics.fallbacks += 1
-        if self._rec is not None:
-            self._rec.emit(
-                FallbackActivated(
-                    t=self.events.now,
-                    app=self.app.name,
-                    function=fn,
-                    from_config=from_config.key,
-                    to_config=to_config.key,
-                    reason=reason,
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.fallback(fn, from_config, to_config, reason)
 
     # ------------------------------------------------------------- lifecycle
     def _launch(
@@ -943,29 +723,8 @@ class Gateway:
         self.metrics.initializations += 1
         if swapped:
             self.metrics.swap_ins += 1
-        if self._rec is not None:
-            self._rec.emit(
-                InstanceLaunched(
-                    t=self.events.now,
-                    app=self.app.name,
-                    function=fn,
-                    instance_id=inst.instance_id,
-                    config=config.key,
-                    init_duration=init,
-                    prewarm=prewarm,
-                )
-            )
-            if swapped:
-                self._rec.emit(
-                    InstanceSwappedIn(
-                        t=self.events.now,
-                        app=self.app.name,
-                        function=fn,
-                        instance_id=inst.instance_id,
-                        config=config.key,
-                        swap_duration=init,
-                    )
-                )
+        if self.telemetry is not None:
+            self.telemetry.launched(inst)
         self.events.schedule_in(init, lambda: self._warmup_done(inst))
         return inst
 
@@ -982,15 +741,8 @@ class Gateway:
             # attempt — and replaced, as a real platform's crash-loop would.
             self.metrics.failed_initializations += 1
             fn, cfg = inst.function, inst.config
-            if self._rec is not None:
-                self._rec.emit(
-                    InstanceInitFailed(
-                        t=self.events.now,
-                        app=self.app.name,
-                        function=fn,
-                        instance_id=inst.instance_id,
-                    )
-                )
+            if self.telemetry is not None:
+                self.telemetry.init_failed(inst)
             self._terminate(inst, reason="init-failed")
             if self._shutting_down:
                 return
@@ -1015,15 +767,8 @@ class Gateway:
             evicted = self.runtime.residency.admit(
                 (self.app.name, inst.function), profile.mem_knee_gb
             )
-            if self._rec is not None:
-                for victim_app, victim_fn in evicted:
-                    self._rec.emit(
-                        ModelEvicted(
-                            t=self.events.now,
-                            app=victim_app,
-                            function=victim_fn,
-                        )
-                    )
+            if self.telemetry is not None:
+                self.telemetry.evicted(evicted)
         inst.mark_warm(self.events.now)
         self.pools[inst.function].transition(inst, InstanceState.INITIALIZING)
         self._dispatch(inst.function)
@@ -1059,38 +804,8 @@ class Gateway:
         self.cluster.release(inst.placement)
         usage = InstanceUsage.from_instance(inst, self.events.now)
         self.metrics.record_instance(usage)
-        if self._rec is not None:
-            if (
-                inst.prewarmed
-                and inst.batches_served == 0
-                and reason in _GENUINE_EXPIRY
-            ):
-                self._rec.emit(
-                    PrewarmMiss(
-                        t=self.events.now,
-                        app=self.app.name,
-                        function=inst.function,
-                        instance_id=inst.instance_id,
-                        idle_seconds=usage.idle_seconds,
-                    )
-                )
-            self._rec.emit(
-                InstanceExpired(
-                    t=self.events.now,
-                    app=self.app.name,
-                    function=inst.function,
-                    instance_id=inst.instance_id,
-                    config=inst.config.key,
-                    reason=reason,
-                    lifetime=usage.lifetime,
-                    init_seconds=usage.init_seconds,
-                    busy_seconds=usage.busy_seconds,
-                    idle_seconds=usage.idle_seconds,
-                    cost=usage.cost,
-                    batches_served=usage.batches_served,
-                    invocations_served=usage.invocations_served,
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.terminated(inst, usage, reason)
         self.pools[inst.function].remove(inst, prev_state)
         self.retry_pending_launches()
 
@@ -1130,17 +845,8 @@ class Gateway:
             raise KeyError(f"unknown function {function!r}")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        if self._rec is not None:
-            self._rec.emit(
-                PrewarmScheduled(
-                    t=self.events.now,
-                    app=self.app.name,
-                    function=function,
-                    fire_at=start_time,
-                    count=count,
-                    config=config.key if config is not None else "directive",
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.prewarm_scheduled(function, start_time, config, count)
 
         def fire() -> None:
             directive = self.directives[function]
@@ -1199,17 +905,8 @@ class Gateway:
                 cpu_pods += cpu
                 gpu_pods += gpu
             self.metrics.pod_samples.append((self.events.now, cpu_pods, gpu_pods))
-            if self._rec is not None:
-                self._rec.emit(
-                    WindowTick(
-                        t=self.events.now,
-                        app=self.app.name,
-                        window_index=k - 1,
-                        arrivals=arrivals,
-                        cpu_pods=cpu_pods,
-                        gpu_pods=gpu_pods,
-                    )
-                )
+            if self.telemetry is not None:
+                self.telemetry.window(k - 1, arrivals, cpu_pods, gpu_pods)
             self.policy.on_window(self.events.now, self.ctx)
             if self.overload_plane is not None:
                 self.overload_plane.on_window()
@@ -1270,19 +967,6 @@ class Gateway:
                 if inst.is_live:
                     self._terminate(inst, reason="shutdown")
         self.metrics.seal(duration=now, unfinished=self._open_invocations)
-        if self._rec is not None:
-            self._rec.emit(
-                RunFinished(
-                    t=now,
-                    app=self.app.name,
-                    duration=now,
-                    unfinished=self._open_invocations,
-                    completed=self.metrics.n_completed,
-                    latency_sketch=(
-                        self.metrics.latency_sketch.to_flat()
-                        if self._sketch
-                        else ()
-                    ),
-                )
-            )
+        if self.telemetry is not None:
+            self.telemetry.run_finished()
         return self.metrics

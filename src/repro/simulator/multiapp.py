@@ -31,7 +31,7 @@ from repro.simulator.runtime import Deployment, Runtime, derive_app_seed
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.faults.plan import FaultPlan
     from repro.overload.spec import OverloadSpec
-    from repro.telemetry.recorder import Recorder
+    from repro.telemetry.recorder import TraceRecorder
 
 __all__ = ["Deployment", "MultiAppSimulator"]
 
@@ -46,7 +46,7 @@ class MultiAppSimulator:
         cluster: Cluster | None = None,
         drain_timeout: float = 300.0,
         seed: int = 0,
-        recorder: "Recorder | None" = None,
+        recorder: "TraceRecorder | None" = None,
         init_failure_rate: float = 0.0,
         faults: "FaultPlan | None" = None,
         overload: "OverloadSpec | None" = None,

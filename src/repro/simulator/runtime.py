@@ -18,12 +18,12 @@ derive it from the root seed and the application name
 another tenant's noise streams.  Run-wide settings (faults, overload,
 initialization failures, record retention) are declared once, here.
 
-The runtime also owns the telemetry plane's sink: one
-:class:`~repro.telemetry.recorder.Recorder` shared by every gateway (the
-default :class:`~repro.telemetry.recorder.NullRecorder` records nothing
-and costs nothing), and the run-scoped invocation-id counter, so traces
-from independent runtimes are comparable regardless of how many runs one
-process executed before.
+The runtime also owns the trace sink: one recorder (a
+:class:`~repro.telemetry.recorder.TraceRecorder`) shared by every
+gateway's :class:`~repro.telemetry.plane.TelemetryPlane`, or ``None``
+for an untraced run, which records nothing and costs nothing; and the
+run-scoped invocation-id counter, so traces from independent runtimes are
+comparable regardless of how many runs one process executed before.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from repro.simulator.events import EventQueue
 from repro.simulator.gateway import Gateway
 from repro.simulator.metrics import RunMetrics
 from repro.telemetry.events import CLUSTER_SCOPE, MachineDown, MachineUp
-from repro.telemetry.recorder import NullRecorder
 from repro.workload.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.faults.plan import FaultPlan
     from repro.overload.spec import OverloadSpec
     from repro.policies.base import Policy
-    from repro.telemetry.recorder import Recorder
+    from repro.telemetry.recorder import TraceRecorder
 
 
 def derive_app_seed(seed: int, app_name: str) -> int:
@@ -103,7 +102,7 @@ class Runtime:
         *,
         cluster: Cluster | None = None,
         drain_timeout: float = 300.0,
-        recorder: "Recorder | None" = None,
+        recorder: "TraceRecorder | None" = None,
         faults: "FaultPlan | None" = None,
         overload: "OverloadSpec | None" = None,
         init_failure_rate: float = 0.0,
@@ -118,9 +117,7 @@ class Runtime:
         self.events = EventQueue()
         self.cluster = cluster if cluster is not None else Cluster.build()
         self.drain_timeout = float(drain_timeout)
-        self.recorder: "Recorder" = (
-            recorder if recorder is not None else NullRecorder()
-        )
+        self.recorder = recorder
         # Fault plan and overload spec: run-wide, but each gateway builds
         # its own FaultPlane / OverloadPlane (per-app state) from them.
         self.faults = faults
@@ -166,7 +163,6 @@ class Runtime:
         *,
         seed: int = 0,
         noisy: bool = True,
-        gpu_contention: float = 0.0,
     ) -> Gateway:
         """Register one application on this runtime; returns its gateway."""
         if any(gw.app.name == app.name for gw in self.gateways):
@@ -181,7 +177,6 @@ class Runtime:
             runtime=self,
             seed=seed,
             noisy=noisy,
-            gpu_contention=gpu_contention,
         )
         self.gateways.append(gateway)
         return gateway
@@ -225,7 +220,7 @@ class Runtime:
         if machine.failed:  # overlapping outage windows
             return
         self.cluster.fail_machine(index)
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.emit(
                 MachineDown(t=self.events.now, app=CLUSTER_SCOPE, machine=index)
             )
@@ -238,7 +233,7 @@ class Runtime:
         if not machine.failed:
             return
         self.cluster.restore_machine(index)
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.emit(
                 MachineUp(t=self.events.now, app=CLUSTER_SCOPE, machine=index)
             )

@@ -1,9 +1,10 @@
 """Event-sourced telemetry plane for the simulator.
 
 The simulator's observation path is inverted here: instead of mutating
-counters in the hot loop, :class:`~repro.simulator.gateway.Gateway` emits
-typed :mod:`~repro.telemetry.events` through the runtime's
-:class:`~repro.telemetry.recorder.Recorder`, and everything the
+counters in the hot loop, each :class:`~repro.simulator.gateway.Gateway`
+calls its :class:`~repro.telemetry.plane.TelemetryPlane`, which emits
+typed :mod:`~repro.telemetry.events` into the runtime's
+:class:`~repro.telemetry.recorder.TraceRecorder`, and everything the
 evaluation consumes is a *derived view* over the recorded stream:
 
 - :func:`~repro.telemetry.aggregate.aggregate` folds a trace back into a
@@ -13,9 +14,9 @@ evaluation consumes is a *derived view* over the recorded stream:
 - :func:`~repro.telemetry.audit.decision_audit` explains every policy
   directive change with its recorded reason.
 
-The default :class:`~repro.telemetry.recorder.NullRecorder` keeps the
-plane pay-for-what-you-use: emission points check one flag and build
-nothing, so untraced runs are bit-identical to the pre-telemetry engine.
+The plane is pay-for-what-you-use: a runtime without a recorder builds
+no plane, so each hook point is one ``None`` check that builds nothing,
+and untraced runs are bit-identical to the pre-telemetry engine.
 See ``docs/observability.md`` for the event taxonomy and trace formats.
 """
 
@@ -35,13 +36,7 @@ from repro.telemetry.events import (
     to_dict,
     validate_event,
 )
-from repro.telemetry.recorder import (
-    NullRecorder,
-    Recorder,
-    TraceRecorder,
-    read_jsonl,
-    write_jsonl,
-)
+from repro.telemetry.recorder import TraceRecorder, read_jsonl, write_jsonl
 
 __all__ = [
     "SimEvent",
@@ -50,8 +45,6 @@ __all__ = [
     "to_dict",
     "from_dict",
     "validate_event",
-    "Recorder",
-    "NullRecorder",
     "TraceRecorder",
     "write_jsonl",
     "read_jsonl",

@@ -1,18 +1,17 @@
-"""Recorder protocol: where the simulator's event stream goes.
+"""Where the simulator's event stream goes.
 
-The :class:`~repro.simulator.runtime.Runtime` owns exactly one recorder
-and every gateway emits through it.  Two implementations:
+The :class:`~repro.simulator.runtime.Runtime` holds at most one recorder,
+and every gateway's :class:`~repro.telemetry.plane.TelemetryPlane` emits
+through it.  ``Runtime(recorder=None)``, the default, means "no trace":
+no plane is built, so the gateway builds no event object and simulated
+outcomes are bit-identical to a traced run's.
 
-- :class:`NullRecorder` — the default.  ``enabled`` is ``False``, so the
-  gateway skips event *construction* entirely (one attribute check per
-  emission point); simulated outcomes are bit-identical to a run with no
-  telemetry plane at all, and the hot loop pays nothing.
-- :class:`TraceRecorder` — appends every event to an in-memory list and
-  can persist it as JSONL (one event dict per line), the interchange
-  format ``repro trace`` writes, :func:`read_jsonl` loads, and CI
-  validates against :data:`repro.telemetry.events.EVENT_SCHEMA`.
+:class:`TraceRecorder` appends every event to an in-memory list and can
+persist it as JSONL (one event dict per line), the interchange format
+``repro trace`` writes, :func:`read_jsonl` loads, and CI validates
+against :data:`repro.telemetry.events.EVENT_SCHEMA`.
 
-Recorders are deliberately dumb: no filtering, no aggregation.  Derived
+A recorder is deliberately dumb: no filtering, no aggregation.  Derived
 views (metrics, Chrome traces, decision audits) consume the recorded
 stream after the run.
 """
@@ -21,48 +20,23 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator
 
 from repro.telemetry.events import SimEvent, from_dict, to_dict
 
 __all__ = [
-    "Recorder",
-    "NullRecorder",
     "TraceRecorder",
     "write_jsonl",
     "read_jsonl",
 ]
 
 
-@runtime_checkable
-class Recorder(Protocol):
-    """Sink for simulation events.
-
-    ``enabled`` lets emitters skip building event objects when nobody is
-    listening — the pay-for-what-you-use contract.  ``emit`` must be safe
-    to call from inside the event loop (no I/O on the hot path).
-    """
-
-    enabled: bool
-
-    def emit(self, event: SimEvent) -> None:
-        """Record one event."""
-        ...  # pragma: no cover - protocol stub
-
-
-class NullRecorder:
-    """Zero-overhead default recorder: drops everything."""
-
-    enabled = False
-
-    def emit(self, event: SimEvent) -> None:  # pragma: no cover - never called
-        """Discard the event (emitters skip calling this when disabled)."""
-
-
 class TraceRecorder:
-    """In-memory event recorder with JSONL persistence."""
+    """In-memory event recorder with JSONL persistence.
 
-    enabled = True
+    ``emit`` runs inside the event loop, so it only appends (no I/O on
+    the hot path).
+    """
 
     def __init__(self) -> None:
         self.events: list[SimEvent] = []
@@ -76,15 +50,6 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[SimEvent]:
         return iter(self.events)
-
-    def events_for(self, app: str) -> list[SimEvent]:
-        """This trace restricted to one application's events."""
-        return [e for e in self.events if e.app == app]
-
-    @property
-    def apps(self) -> tuple[str, ...]:
-        """Application names present in the trace, in first-seen order."""
-        return tuple(dict.fromkeys(e.app for e in self.events))
 
     def write_jsonl(self, path: str | Path) -> int:
         """Persist the trace as JSONL; returns the number of events."""

@@ -184,6 +184,58 @@ class TestCli:
         # Process start to record write: imports, env build and the run.
         assert record["end_to_end_seconds"] > record["wall_clock_seconds"]
 
+    def test_macro_bench_peak_rss_counts_worker_processes(
+        self, tmp_path, monkeypatch
+    ):
+        import resource
+        import types
+
+        # The workers of a sharded run peak above the parent process.
+        peaks = {
+            resource.RUSAGE_SELF: 100 * 1024,
+            resource.RUSAGE_CHILDREN: 300 * 1024,
+        }
+        monkeypatch.setattr(
+            resource,
+            "getrusage",
+            lambda who: types.SimpleNamespace(ru_maxrss=peaks[who]),
+        )
+        out = tmp_path / "macro.json"
+        code = main(
+            ["bench", "--macro", "--invocations", "200", "--out", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["peak_rss_mb"] == 300.0
+
+    @pytest.mark.parametrize(
+        "status, dirty", [(" M src/repro/cli.py\n", True), ("", False)]
+    )
+    def test_bench_provenance_flags_a_dirty_tree(self, monkeypatch, status, dirty):
+        import subprocess
+
+        from repro.cli import _bench_provenance
+
+        def fake_git(cmd, **kwargs):
+            out = "a" * 40 + "\n" if cmd[1] == "rev-parse" else status
+            return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+        monkeypatch.setattr(subprocess, "run", fake_git)
+        prov = _bench_provenance()
+        assert prov["git_sha"] == "a" * 40
+        assert prov["git_dirty"] is dirty
+
+    def test_bench_provenance_without_git(self, monkeypatch):
+        import subprocess
+
+        from repro.cli import _bench_provenance
+
+        def no_git(cmd, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(subprocess, "run", no_git)
+        prov = _bench_provenance()
+        assert prov["git_sha"] is None and prov["git_dirty"] is None
+
     def test_multiapp_co_runs_paper_apps(self, monkeypatch, capsys):
         import repro.cli as cli
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.dag import linear_pipeline
-from repro.hardware import HardwareConfig
 from repro.policies import AlwaysOnPolicy, OnDemandPolicy
 from repro.predictor import InterArrivalPredictor, InvocationPredictor
 from repro.simulator import Runtime
@@ -160,73 +159,3 @@ class TestOnlineUpdates:
         pred = InterArrivalPredictor(epochs=1, seed=0).fit(counts)
         pred.partial_fit(np.zeros(40))  # no gaps to learn from
 
-
-class TestGpuContention:
-    def _run(self, contention):
-        app = linear_pipeline(1, models=("TG",))
-        trace = constant_rate_process(8.0, 160.0, offset=5.0)
-        policy = AlwaysOnPolicy(config=HardwareConfig.gpu(0.5))
-        rt = Runtime()
-        rt.add_app(
-            app,
-            trace,
-            policy,
-            seed=4,
-            noisy=False,
-            gpu_contention=contention,
-        )
-        m = rt.run()[app.name]
-        return m
-
-    def test_no_contention_for_sole_tenant(self):
-        # one instance on the device: others' share is zero -> no slowdown
-        base = self._run(0.0).latencies().mean()
-        alone = self._run(2.0).latencies().mean()
-        assert alone == pytest.approx(base, rel=1e-6)
-
-    def test_contention_slows_co_located_instances(self):
-        from repro.simulator import Cluster, FunctionDirective
-        from repro.policies.base import Policy
-
-        class TwoPods(Policy):
-            name = "two-pods"
-
-            def on_register(self, app, ctx):
-                for fn in app.function_names:
-                    ctx.set_directive(
-                        fn,
-                        FunctionDirective(
-                            config=HardwareConfig.gpu(0.5),
-                            keep_alive=float("inf"),
-                            min_warm=2,
-                        ),
-                    )
-                    ctx.schedule_warmup(fn, 0.0, count=2)
-
-        app = linear_pipeline(1, models=("TG",))
-        # simultaneous pairs force both pods busy at once on one GPU
-        trace = Trace([20.0, 20.0, 40.0, 40.0, 60.0, 60.0], duration=90.0)
-        cluster = Cluster.build(n_machines=1)
-
-        def mean_lat(contention):
-            rt = Runtime(cluster=Cluster.build(n_machines=1))
-            rt.add_app(
-                app,
-                trace,
-                TwoPods(),
-                seed=4,
-                noisy=False,
-                gpu_contention=contention,
-            )
-            m = rt.run()[app.name]
-            return m.latencies().mean()
-
-        assert mean_lat(2.0) > mean_lat(0.0) * 1.3
-
-    def test_invalid_contention_rejected(self):
-        app = linear_pipeline(1, models=("TG",))
-        with pytest.raises(ValueError):
-            Runtime().add_app(
-                app, Trace([1.0], duration=5.0), AlwaysOnPolicy(),
-                gpu_contention=-1.0,
-            )

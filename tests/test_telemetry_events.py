@@ -9,8 +9,6 @@ import pytest
 from repro.telemetry import (
     EVENT_SCHEMA,
     EVENT_TYPES,
-    NullRecorder,
-    Recorder,
     TraceRecorder,
     decision_audit,
     format_decision_audit,
@@ -184,23 +182,12 @@ def test_every_field_has_a_schema_entry():
 
 
 # ------------------------------------------------------------------ recorders
-def test_null_recorder_is_disabled_protocol_member():
-    rec = NullRecorder()
-    assert isinstance(rec, Recorder)
-    assert rec.enabled is False
-    rec.emit(SAMPLES["arrival"])  # no-op, no storage
-
-
 def test_trace_recorder_collects_and_filters():
     rec = TraceRecorder()
-    assert isinstance(rec, Recorder)
-    assert rec.enabled is True
     rec.emit(SAMPLES["arrival"])
     rec.emit(Arrival(t=2.0, app="b", invocation_id=0))
     assert len(rec) == 2
     assert list(rec) == rec.events
-    assert rec.apps == ("a", "b")
-    assert [e.app for e in rec.events_for("b")] == ["b"]
 
 
 def test_jsonl_round_trip(tmp_path):
