@@ -90,6 +90,8 @@ class AppDAG:
         # which downstream stages become ready.
         self._preds = {n: tuple(graph.predecessors(n)) for n in graph}
         self._succs = {n: tuple(graph.successors(n)) for n in graph}
+        self._sources = tuple(n for n in self._topo if not self._preds[n])
+        self._sinks = tuple(n for n in self._topo if not self._succs[n])
 
     # -- basic structure ---------------------------------------------------
     def __len__(self) -> int:
@@ -136,11 +138,11 @@ class AppDAG:
 
     def sources(self) -> tuple[str, ...]:
         """Entry functions (no predecessors), in topological order."""
-        return tuple(n for n in self._topo if self._graph.in_degree(n) == 0)
+        return self._sources
 
     def sinks(self) -> tuple[str, ...]:
         """Exit functions (no successors), in topological order."""
-        return tuple(n for n in self._topo if self._graph.out_degree(n) == 0)
+        return self._sinks
 
     def min_batch(self) -> int:
         """Smallest ``min_batch`` over all functions (predictor bucket size)."""
