@@ -26,6 +26,10 @@ GPU_FRACTION_OPTIONS: tuple[float, ...] = tuple(
     round(MPS_UNIT * k, 2) for k in range(1, 11)
 )
 
+#: Number of points in the configuration space (CPU core counts, then GPU
+#: fractions); :attr:`HardwareConfig.slot` indexes it.
+N_CONFIGS: int = len(CPU_CORE_OPTIONS) + len(GPU_FRACTION_OPTIONS)
+
 #: Price of one CPU core per hour (AWS c6g series).
 CPU_CORE_PRICE_PER_HOUR: float = 0.034
 
@@ -53,9 +57,14 @@ class HardwareConfig:
     cost so collections of configurations sort cheapest-first by default.
 
     The hash is computed once, from values whose hash does not depend on
-    ``PYTHONHASHSEED`` (no enum or ``str``): configurations key the
-    engine's per-event pool lookups, and they are pickled into grid and
-    shard workers together with their cached hash.
+    ``PYTHONHASHSEED`` (no enum or ``str``): configurations are pickled
+    into grid and shard workers together with their cached hash.
+
+    ``slot`` is the configuration's position in the fixed 15-point space
+    (``0 .. N_CONFIGS - 1``: CPU core counts, then GPU fractions).  Equal
+    configurations share a slot, so the engine keys its per-event pool
+    counters and idle heaps by this small int and compares configurations
+    by slot instead of by dataclass equality.
     """
 
     backend: Backend
@@ -70,6 +79,7 @@ class HardwareConfig:
                 )
             if self.gpu_fraction:
                 raise ValueError("CPU config must not set gpu_fraction")
+            slot = CPU_CORE_OPTIONS.index(self.cpu_cores)
         else:
             check_in_range("gpu_fraction", self.gpu_fraction, MPS_UNIT, 1.0)
             # Snap to the MPS grid to avoid float drift in comparisons.
@@ -80,8 +90,12 @@ class HardwareConfig:
                 )
             if self.cpu_cores:
                 raise ValueError("GPU config must not set cpu_cores")
+            # Store the snapped value, so equal grid points are equal configs.
+            object.__setattr__(self, "gpu_fraction", snapped)
+            slot = len(CPU_CORE_OPTIONS) + GPU_FRACTION_OPTIONS.index(snapped)
         key = (self.backend is Backend.GPU, self.cpu_cores, self.gpu_fraction)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "slot", slot)
 
     def __hash__(self) -> int:
         return self._hash

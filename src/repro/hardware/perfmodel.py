@@ -182,9 +182,9 @@ class GroundTruthPerformance:
         self.profile = profile
         self._rng = ensure_rng(rng)
         self.noisy = noisy
-        # Deterministic latency-law means per (config, batch); noise is
+        # Deterministic latency-law means per (config slot, batch); noise is
         # sampled on top, so caching cannot perturb the RNG draw sequence.
-        self._mean_cache: dict[tuple[HardwareConfig, int], float] = {}
+        self._mean_cache: dict[tuple, float] = {}
 
     def inference_time(
         self,
@@ -200,7 +200,8 @@ class GroundTruthPerformance:
         exactly one noise draw is consumed per call, so attaching work to
         some stages never perturbs the noise stream of others.
         """
-        key = (config, batch) if work is None else (config, batch, work)
+        slot = config.slot
+        key = (slot, batch) if work is None else (slot, batch, work)
         base = self._mean_cache.get(key)
         if base is None:
             base = self.profile.expected_inference_time(config, batch, work)
