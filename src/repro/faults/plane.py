@@ -171,13 +171,13 @@ class FaultPlane:
         count = self.crash_loops.get(fn, 0) + 1
         self.crash_loops[fn] = count
         if count < res.max_crash_loop:
-            gw._launch(fn, config)
+            gw._launch(gw.fn_index[fn], config)
             return
         fallback = self.fallback_config
         if res.fallback_after is not None and config != fallback:
             self.crash_loops[fn] = 0
             gw._activate_fallback(fn, config, fallback, reason="crash-loop")
-            gw._launch(fn, fallback)
+            gw._launch(gw.fn_index[fn], fallback)
 
     def warmed(self, fn: str) -> None:
         """An initialization of ``fn`` succeeded: the crash loop is over."""

@@ -56,7 +56,7 @@ class OverloadPlane:
         among the incoming and queued candidates, deterministic on ties.
         """
         gw = self.gw
-        queue = gw.queues[fn]
+        queue = gw.queues[gw.fn_index[fn]]
         limit = self.spec.queue_limit
         if limit is not None and len(queue) >= limit:
             policy = self.spec.shed_policy
@@ -91,17 +91,18 @@ class OverloadPlane:
         if self.breaker_state[fn] != "half-open":
             return
         gw = self.gw
-        queue = gw.queues[fn]
+        fi = gw.fn_index[fn]
+        queue = gw.queues[fi]
         if not queue:
             return
-        config = gw.directives[fn].config
-        pool = gw.pools[fn]
+        config = gw.directives[fi].config
+        pool = gw.pools[fi]
         inst = pool.pick_idle(config)
         if inst is not None:
             gw._execute(inst, [queue.popleft()])
             self.breaker_state[fn] = "probing"
-        elif pool.initializing_count() + len(gw.pending_launches[fn]) == 0:
-            gw._launch(fn, config)
+        elif pool.initializing_count() + len(gw.pending_launches[fi]) == 0:
+            gw._launch(fi, config)
 
     def batch_failed(self, fn: str) -> None:
         """Count one consecutive batch failure toward the breaker."""
@@ -126,7 +127,7 @@ class OverloadPlane:
         self.breaker_fails[fn] = 0
         gw._activate_fallback(
             fn,
-            gw.directives[fn].config,
+            gw.directives[gw.fn_index[fn]].config,
             self.degraded_config,
             reason="circuit-open",
         )
@@ -136,7 +137,7 @@ class OverloadPlane:
                 return
             if self.breaker_state.get(fn) == "open":
                 self.breaker_state[fn] = "half-open"
-                gw._dispatch(fn)
+                gw._dispatch(gw.fn_index[fn])
 
         gw.events.schedule_in(self.spec.breaker_cooldown, fire)
 
@@ -148,10 +149,11 @@ class OverloadPlane:
         if self.breaker_fails.get(fn):
             self.breaker_fails[fn] = 0
         if self.breaker_state.pop(fn, None) is not None:
-            self.gw._activate_fallback(
+            gw = self.gw
+            gw._activate_fallback(
                 fn,
                 self.degraded_config,
-                self.gw.directives[fn].config,
+                gw.directives[gw.fn_index[fn]].config,
                 reason="circuit-close",
             )
 
@@ -173,13 +175,14 @@ class OverloadPlane:
         gw = self.gw
         now = gw.events.now
         degraded = self.degraded_config
-        for fn, queue in gw.queues.items():
+        for fi, queue in enumerate(gw.queues):
+            fn = gw.fn_names[fi]
             delay = 0.0
             if queue:
                 head_ready = queue[0].stage(fn).ready_at
                 if head_ready is not None:
                     delay = now - head_ready
-            directive = gw.directives[fn]
+            directive = gw.directives[fi]
             saved = self.brownout_saved.get(fn)
             if saved is None:
                 if (
@@ -187,7 +190,7 @@ class OverloadPlane:
                     and directive.config != degraded
                 ):
                     self.brownout_saved[fn] = directive
-                    gw.directives[fn] = dataclasses.replace(
+                    gw.directives[fi] = dataclasses.replace(
                         directive, config=degraded
                     )
                     gw._activate_fallback(
@@ -196,7 +199,7 @@ class OverloadPlane:
                     if gw.telemetry is not None:
                         gw.telemetry.directive(
                             fn,
-                            gw.directives[fn],
+                            gw.directives[fi],
                             f"brownout: queue delay {delay:.2f}s > "
                             f"{spec.brownout_queue_delay:.2f}s",
                         )
@@ -206,7 +209,7 @@ class OverloadPlane:
                 del self.brownout_saved[fn]
             elif delay <= spec.brownout_recover_delay:
                 del self.brownout_saved[fn]
-                gw.directives[fn] = saved
+                gw.directives[fi] = saved
                 gw._activate_fallback(
                     fn, degraded, saved.config, reason="brownout-restore"
                 )

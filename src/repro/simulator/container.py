@@ -45,7 +45,7 @@ class InstanceState(enum.Enum):
         return member
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """One running container serving a single function."""
 
@@ -56,6 +56,9 @@ class Instance:
     init_duration: float
     state: InstanceState = InstanceState.INITIALIZING
     instance_id: int = field(default_factory=lambda: next(_instance_ids))
+    #: Index of ``function`` in its gateway's compiled function table
+    #: (``None`` for an instance built outside a gateway).
+    fn_index: int | None = None
     #: Launched by a policy pre-warm rather than queue demand; drives the
     #: telemetry plane's PrewarmHit / PrewarmMiss accounting.
     prewarmed: bool = False
@@ -68,16 +71,15 @@ class Instance:
     batches_served: int = 0
     invocations_served: int = 0
     terminated_at: float | None = None
-    expiry_epoch: int = 0  # invalidates stale keep-alive timers
     # Pending keep-alive expiry timer; cancelled on dispatch/termination so
-    # dead closures never accumulate in the event heap.
+    # dead entries never accumulate in the event heap.
     expiry_timer: "TimerHandle | None" = field(
         default=None, repr=False, compare=False
     )
-    # In-flight batch tracking, populated only while a FaultPlan is active:
-    # the invocations currently executing on this instance and the timer
-    # that will complete (or fail) them.  Cancellable, so a machine outage
-    # can kill the batch mid-flight and hand the items to the retry path.
+    # The batch currently executing on this instance and, while a FaultPlan
+    # is active, the cancellable timer that will complete (or fail) it, so
+    # a machine outage can kill the batch mid-flight and hand the items to
+    # the retry path.
     inflight: "list | None" = field(default=None, repr=False, compare=False)
     done_timer: "TimerHandle | None" = field(
         default=None, repr=False, compare=False
@@ -113,7 +115,6 @@ class Instance:
         self.busy_seconds += busy_time
         self.state = InstanceState.IDLE
         self.idle_since = now
-        self.expiry_epoch += 1
 
     def mark_terminated(self, now: float) -> None:
         """Release the instance; billing stops at ``now``."""

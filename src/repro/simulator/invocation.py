@@ -22,7 +22,7 @@ from repro.hardware.configs import HardwareConfig
 from repro.hardware.servicetime import WorkUnit
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     """Execution bookkeeping for one function of one invocation."""
 
@@ -42,7 +42,7 @@ class StageRecord:
         return self.started_at - self.ready_at
 
 
-@dataclass
+@dataclass(slots=True)
 class Invocation:
     """One user request traversing an application DAG."""
 
@@ -60,12 +60,18 @@ class Invocation:
     #: Per-invocation work descriptor (token counts) drawn from the app's
     #: work model at arrival; ``None`` under the fixed-latency regime.
     work: WorkUnit | None = None
+    #: Stages not yet finished; the invocation completes when it reaches 0.
+    remaining: int = 0
+    #: Unfinished-predecessor countdown per function index, for apps with
+    #: fan-in stages (``None`` otherwise): a join becomes ready when its
+    #: entry reaches 0.
+    waiting: list[int] | None = None
 
     def stage(self, function: str) -> StageRecord:
         """Record for ``function``, created on first access."""
         rec = self.stages.get(function)
         if rec is None:
-            rec = self.stages[function] = StageRecord(function=function)
+            rec = self.stages[function] = StageRecord(function)
         return rec
 
     @property

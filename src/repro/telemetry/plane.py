@@ -138,7 +138,7 @@ class TelemetryPlane:
         # apportioned proportionally).
         token_split: tuple[float, float] | None = None
         if work is not None:
-            model = self.gw.oracles[fn].profile.service_model
+            model = self.gw.oracles[inst.fn_index].profile.service_model
             if model is not None and hasattr(model, "split"):
                 pre, dec = model.split(inst.config, batch_n, work)
                 if pre + dec > 0.0:

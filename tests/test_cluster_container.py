@@ -116,14 +116,6 @@ class TestInstanceLifecycle:
         with pytest.raises(RuntimeError):
             inst.mark_terminated(15.0)
 
-    def test_expiry_epoch_bumped_on_idle(self):
-        inst = self.make()
-        inst.mark_warm(12.0)
-        epoch0 = inst.expiry_epoch
-        inst.mark_busy(13.0, 1)
-        inst.mark_idle(14.0, 1.0)
-        assert inst.expiry_epoch == epoch0 + 1
-
 
 class TestInstanceBilling:
     def make(self):

@@ -25,23 +25,24 @@ class TestRetryPendingLaunches:
             seed=0,
         )
         rt.setup()
-        blocked_fn, small_fn = app.function_names
+        # The gateway's function-indexed lists, in topological order.
+        blocked, small = (gw.fn_index[f] for f in app.function_names)
 
         hold_big = cluster.try_allocate(HardwareConfig.cpu(4))
         hold_small = cluster.try_allocate(HardwareConfig.cpu(2))
         assert hold_big is not None and hold_small is not None
 
-        gw.pending_launches[blocked_fn].append(HardwareConfig.cpu(8))
-        gw.pending_launches[small_fn].append(HardwareConfig.cpu(2))
+        gw.pending_launches[blocked].append(HardwareConfig.cpu(8))
+        gw.pending_launches[small].append(HardwareConfig.cpu(2))
 
         # Free 2 cores: the first function's cpu(8) launch still cannot
         # fit, but the second function's cpu(2) launch now can.
         cluster.release(hold_small)
         gw.retry_pending_launches()
 
-        assert list(gw.pending_launches[blocked_fn]) == [HardwareConfig.cpu(8)]
-        assert not gw.pending_launches[small_fn]
-        assert gw.pools[small_fn].initializing_count() == 1
+        assert list(gw.pending_launches[blocked]) == [HardwareConfig.cpu(8)]
+        assert not gw.pending_launches[small]
+        assert gw.pools[small].initializing_count() == 1
 
     def test_multiple_pending_same_function_drain_in_order(self):
         cluster = Cluster.build(n_machines=1, cores_per_machine=8)
@@ -54,16 +55,16 @@ class TestRetryPendingLaunches:
             seed=0,
         )
         rt.setup()
-        (fn,) = app.function_names
+        fi = gw.fn_index[app.function_names[0]]
         hold = cluster.try_allocate(HardwareConfig.cpu(8))
-        gw.pending_launches[fn].extend(
+        gw.pending_launches[fi].extend(
             [HardwareConfig.cpu(2), HardwareConfig.cpu(2), HardwareConfig.cpu(8)]
         )
         cluster.release(hold)
         gw.retry_pending_launches()
         # Both cpu(2) launches fit (4 of 8 cores); the cpu(8) head remains.
-        assert list(gw.pending_launches[fn]) == [HardwareConfig.cpu(8)]
-        assert gw.pools[fn].initializing_count() == 2
+        assert list(gw.pending_launches[fi]) == [HardwareConfig.cpu(8)]
+        assert gw.pools[fi].initializing_count() == 2
 
 
 class TestHeapBoundedness:

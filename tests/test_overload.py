@@ -424,7 +424,7 @@ class TestBrownout:
         assert len(brownout_changes) == 2
         # Ownership returned to the policy: the standing directive at run
         # end is the policy's own configuration.
-        assert gw.directives["f0-IR"].config == HardwareConfig.cpu(4)
+        assert gw.ctx.directive("f0-IR").config == HardwareConfig.cpu(4)
         assert gw.overload_plane.brownout_saved == {}
         assert m.n_completed == len(trace)
         assert_conserved_extended(trace, m)
@@ -664,7 +664,7 @@ class TestNoLeaksAtRunEnd:
         # No leaked deadline timers, no stranded demand charges, and the
         # cluster ends empty.
         assert gw.fault_plane.deadline_timers == {}
-        assert all(v == 0 for v in gw.pending_stage_demand.values()), (
+        assert all(v == 0 for v in gw.pending_stage_demand), (
             gw.pending_stage_demand
         )
         assert rt.cluster.cores_used() == 0

@@ -99,7 +99,7 @@ def test_saturated_corun_summary_bit_identical(saturated_run, app):
 def test_saturated_corun_pending_depth_and_events(saturated_run):
     sim, _ = saturated_run
     pending = {
-        g.app.name: sum(len(q) for q in g.pending_launches.values())
+        g.app.name: sum(len(q) for q in g.pending_launches)
         for g in sim.runtime.gateways
     }
     assert pending == SATURATED_PENDING
