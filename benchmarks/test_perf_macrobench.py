@@ -233,7 +233,7 @@ def test_sharded_differential_100k():
     """4-shard vs 1-shard merged metrics, field by field, at 100k aggregate.
 
     The full-scale version of ``tests/test_sharding_differential.py``:
-    same plan, same seeds, 4 shards vs 1 — every non-distributional
+    same cell, same seeds, 4 shards vs 1 — every non-distributional
     summary field and raw counter must match bit for bit after the
     barrier merge.
     """
@@ -244,9 +244,15 @@ def test_sharded_differential_100k():
 
     import math
 
-    from repro.experiments.parallel import EnvSpec, MultiAppCellSpec
+    import dataclasses
+
+    from repro.experiments.parallel import (
+        EnvSpec,
+        MultiAppCellSpec,
+        merge_units,
+        run_sharded,
+    )
     from repro.experiments.runners import APP_BUILDERS
-    from repro.sharding import ShardPlan, run_sharded
     from repro.workload.azure import PRESETS
 
     apps = tuple(sorted(APP_BUILDERS))
@@ -258,13 +264,14 @@ def test_sharded_differential_100k():
             for app in apps
         ),
         policy="grandslam",
+        retention="sketch",
+        shards=4,
+        slices_per_app=4,
     )
-    plan4 = ShardPlan.for_apps(apps, n_shards=4, slices_per_app=4)
-    plan1 = ShardPlan.for_apps(apps, n_shards=1, slices_per_app=4)
-    reference = run_sharded(plan1, cell, processes=1)
-    sharded = run_sharded(plan4, cell)
+    reference = run_sharded(dataclasses.replace(cell, shards=1))
+    sharded = run_sharded(cell)
     assert sharded == reference  # bitwise: every unit's accumulator states
-    merged, ref = sharded.per_app_metrics(), reference.per_app_metrics()
+    merged, ref = merge_units(sharded), merge_units(reference)
     total = 0
     for app in ref:
         ms, rs = merged[app].summary(), ref[app].summary()

@@ -409,8 +409,7 @@ def cmd_bench(args) -> int:
     import dataclasses
     import resource
 
-    from repro.experiments.parallel import run_cell
-    from repro.sharding import clamp_shard_workers
+    from repro.experiments.parallel import clamp_shard_workers, run_cell
 
     # Mode selection (--macro) is enforced by the argparse group; by the
     # time we are here a mode is guaranteed.

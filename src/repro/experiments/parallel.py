@@ -15,11 +15,19 @@ order, which keeps result lists stable too.
 Worker processes memoize environments per :class:`EnvSpec` (profiling and
 trace synthesis are the expensive, deterministic part), so a sweep of many
 policies over one environment pays the build cost once per process.
+
+The shard plane fans the other way, *within* one cell: a cell with
+``slices_per_app > 1`` runs each (app, trace-slice) unit on a runtime of
+its own (:func:`run_unit`), fans the units over ``shards`` processes with
+the same :func:`fan_out` (:func:`run_sharded`) and folds each app's units
+with ``RunMetrics.merge`` (:func:`merge_units`).
 """
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.faults.plan import FaultPlan
     from repro.overload.spec import OverloadSpec
     from repro.simulator import MultiAppSimulator
+    from repro.simulator.metrics import RunMetrics
     from repro.telemetry.recorder import TraceRecorder
 
 
@@ -73,11 +82,12 @@ class MultiAppCellSpec:
     accumulators — see ``docs/performance.md``).
 
     ``slices_per_app > 1`` puts the cell on the shard plane
-    (:mod:`repro.sharding`): each app's trace is cut into that many
+    (:func:`run_sharded`): each app's trace is cut into that many
     time-slices, each simulated on its *own* cluster, fanned over
-    ``shards`` worker processes and merged at the barrier.  ``shards``
-    only sets the worker count: merged non-distributional metrics are
-    bit-identical for any ``shards`` over the same ``slices_per_app``.
+    ``shards`` worker processes and folded per app at the barrier.
+    ``shards`` only sets the worker count: merged non-distributional
+    metrics are bit-identical for any ``shards`` over the same
+    ``slices_per_app``.  An app appears in ``envs`` at most once.
     """
 
     envs: tuple[EnvSpec, ...]
@@ -99,6 +109,9 @@ class MultiAppCellSpec:
                 f"unknown retention mode {self.retention!r}; "
                 f"expected one of {RETENTION_MODES}"
             )
+        apps = [env.app for env in self.envs]
+        if len(set(apps)) != len(apps):
+            raise ValueError(f"duplicate application names: {apps}")
         if self.shards < 1 or self.slices_per_app < 1:
             raise ValueError(
                 f"shards and slices_per_app must be >= 1, got "
@@ -108,7 +121,7 @@ class MultiAppCellSpec:
             return
         if self.retention != "sketch":
             raise ValueError(
-                "sharded cells require retention='sketch' (snapshots extract "
+                "sharded cells require retention='sketch' (units merge "
                 f"streaming state); got retention={self.retention!r}"
             )
         if self.trace_dir is not None:
@@ -279,30 +292,167 @@ def _cell_result(
 
 
 def _run_sharded_cell(spec: MultiAppCellSpec) -> CellResult:
-    """Run a shard-plane cell: scatter units over processes, merge, time.
+    """Run a shard-plane cell: fan its units over processes, fold, time.
 
     ``wall_clock`` is the barrier wall time (what a user waits for);
     ``events_processed`` sums over every unit; summaries and extras come
     from the merged per-app metrics, as in :func:`run_cell`.
     """
-    # Late import: repro.sharding imports this module for the cell spec
-    # and the environment cache.
-    from repro.sharding import ShardPlan, run_sharded
-
-    plan = ShardPlan.for_apps(
-        [e.app for e in spec.envs],
-        n_shards=spec.shards,
-        slices_per_app=spec.slices_per_app,
-    )
     start = time.perf_counter()
-    snapshot = run_sharded(plan, spec)
+    results = run_sharded(spec)
     wall = time.perf_counter() - start
+    arrivals: dict[str, int] = {}
+    for result in results:
+        arrivals[result.app] = arrivals.get(result.app, 0) + result.arrivals
     return _cell_result(
         spec,
-        snapshot.per_app_metrics(),
-        arrivals=snapshot.arrivals(),
+        merge_units(results),
+        arrivals=arrivals,
         wall_clock=wall,
-        events_processed=snapshot.events_processed,
+        events_processed=sum(r.events_processed for r in results),
+    )
+
+
+# --------------------------------------------------------------------------
+# Shard plane: a cell's (app, trace-slice) units, each on its own runtime.
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UnitResult:
+    """What one finished shard unit contributes to the merged run.
+
+    ``metrics`` is the unit's sealed sketch-retention run.  It holds no
+    gateway reference — only counters, the latency sketch and stats and
+    the billing fold — so it pickles as it is under ``fork`` and
+    ``spawn``.  ``arrivals`` counts the slice's trace arrivals (the
+    conservation cross-check).
+    """
+
+    app: str
+    slice_index: int
+    metrics: "RunMetrics"
+    events_processed: int = 0
+    arrivals: int = 0
+    #: Host timing, not simulation outcome — excluded from equality so two
+    #: runs of the same unit compare equal bit for bit.
+    wall_clock: float = field(default=0.0, compare=False)
+
+
+def run_unit(unit: "tuple[MultiAppCellSpec, str, int]") -> UnitResult:
+    """Simulate one ``(cell, app, slice_index)`` unit as its own runtime.
+
+    The unit replays slice ``i`` of ``n = cell.slices_per_app``
+    contiguous windows ``[i*T/n, (i+1)*T/n)`` of the app's trace, re-based
+    to start at 0 (the whole trace when ``n == 1``), on a cluster of its
+    own under the cell's policy, failure and overload regime, seeded with
+    :func:`~repro.simulator.runtime.derive_slice_seed`.  Its result
+    depends only on the unit, never on the process that ran it or the
+    units that ran there before.  Module-level over picklable arguments,
+    so it runs under both ``fork`` and ``spawn``.
+    """
+    from repro.simulator.runtime import Runtime, derive_slice_seed
+
+    cell, app, slice_index = unit
+    n_slices = cell.slices_per_app
+    env = _environment(next(e for e in cell.envs if e.app == app))
+    trace = env.trace
+    if n_slices > 1:
+        width = trace.duration / n_slices
+        # The last slice closes at the exact horizon, never a rounded one.
+        end = (
+            trace.duration
+            if slice_index == n_slices - 1
+            else (slice_index + 1) * width
+        )
+        trace = trace.slice(slice_index * width, end)
+    seed = derive_slice_seed(cell.sim_seed, app, slice_index, n_slices)
+    # Built before the clock starts, as in run_cell: predictor training
+    # is offline preparation, not simulation.
+    policy = env.make_policy(cell.policy)
+    wall_start = time.perf_counter()
+    runtime = Runtime(
+        faults=cell.faults,
+        overload=cell.overload,
+        init_failure_rate=cell.init_failure_rate,
+        retention="sketch",
+    )
+    runtime.add_app(env.app, trace, policy, seed=seed)
+    metrics = runtime.run()[env.app.name]
+    wall = time.perf_counter() - wall_start
+    # The per-window samples stay here: they grow with the window count
+    # and no merged figure reads them.  The flush folds the sketch's
+    # buffered points before the unit leaves, as a merge expects.
+    metrics.pod_samples = []
+    metrics.arrival_samples = []
+    metrics.latency_sketch.flush()
+    return UnitResult(
+        app=app,
+        slice_index=slice_index,
+        metrics=metrics,
+        events_processed=runtime.events.processed,
+        arrivals=len(trace),
+        wall_clock=wall,
+    )
+
+
+def run_sharded(
+    cell: MultiAppCellSpec, *, mp_context: str | None = None
+) -> list[UnitResult]:
+    """Fan the cell's units over ``cell.shards`` processes, in order.
+
+    The units are every app of ``cell.envs`` times ``cell.slices_per_app``
+    slices, returned in canonical ``(app, slice)`` order whatever the
+    worker count; ``mp_context`` picks the start method (default: the
+    platform's).  :func:`fan_out` runs serially — same results, one
+    process — for one shard, from a daemonic process or when the pool
+    cannot start.
+    """
+    units = [
+        (cell, env.app, i)
+        for env in sorted(cell.envs, key=lambda e: e.app)
+        for i in range(cell.slices_per_app)
+    ]
+    return fan_out(run_unit, units, workers=cell.shards, mp_context=mp_context)
+
+
+def merge_units(results: Sequence[UnitResult]) -> "dict[str, RunMetrics]":
+    """Fold each app's unit results with ``RunMetrics.merge``, in order.
+
+    Each app merges into a copy of its first result's metrics, so the
+    results are never mutated and fold again to the same bits.  Folding
+    :func:`run_sharded`'s canonical order makes the merged metrics a pure
+    function of the cell, whatever its shard count.
+    """
+    merged: dict[str, RunMetrics] = {}
+    for result in results:
+        if result.app in merged:
+            merged[result.app].merge(result.metrics)
+        else:
+            merged[result.app] = copy.deepcopy(result.metrics)
+    return merged
+
+
+def clamp_shard_workers(
+    requested: int, cpu_count: int | None = None
+) -> tuple[int, str | None]:
+    """Clamp a worker-process request to the host's usable cores.
+
+    On a host with fewer cores than requested shards, extra worker
+    processes only add pool overhead, so the pool never exceeds the CPU
+    count.  Returns ``(effective_workers, note)`` where ``note`` is a
+    human-readable explanation to record in benchmark JSON (``None`` when
+    nothing was clamped).
+    """
+    if requested < 1:
+        raise ValueError(f"requested workers must be >= 1, got {requested}")
+    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
+    effective = min(requested, cpus)
+    if effective == requested:
+        return requested, None
+    return effective, (
+        f"clamped shard workers {requested} -> {effective}: host has "
+        f"{cpus} usable core(s); extra worker processes cannot beat them"
     )
 
 

@@ -89,7 +89,7 @@ class ScenarioSpec:
     #: non-distributional metrics are independent of it.
     shards: int = 1
     #: Trace slices per app: ``> 1`` runs every cell on the shard plane
-    #: (:mod:`repro.sharding`).  Part of the experiment definition (it
+    #: (:func:`~repro.experiments.parallel.run_sharded`).  Part of the experiment definition (it
     #: changes which simulations run), unlike ``shards``.
     slices_per_app: int = 1
     #: Replay the published Azure Functions CSV at this path as every

@@ -68,9 +68,9 @@ def derive_slice_seed(
 ) -> int:
     """Order-independent seed for one trace time-slice of an application.
 
-    The shard plane (:mod:`repro.sharding`) partitions a single app's
-    trace into ``n_slices`` contiguous windows, each simulated as its own
-    runtime.  Every slice gets its own noise streams — derived, like
+    The shard plane (:func:`~repro.experiments.parallel.run_sharded`)
+    partitions a single app's trace into ``n_slices`` contiguous windows,
+    each simulated as its own runtime.  Every slice gets its own noise streams — derived, like
     :func:`derive_app_seed`, only from stable names, never from which
     shard or process runs the slice.  An unsliced unit
     (``n_slices == 1``) collapses to the plain per-app derivation so a

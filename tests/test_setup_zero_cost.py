@@ -50,7 +50,7 @@ def test_offline_imports_load_no_scipy():
     out = run_python(
         "import json, sys\n"
         "import repro.cli, repro.experiments, repro.simulator\n"
-        "import repro.serving, repro.sharding\n"
+        "import repro.serving\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
     )

@@ -1,10 +1,10 @@
 """Differential tests: sharded runs vs the 1-shard reference.
 
-The shard plane's correctness bar (ISSUE 7): a 4-shard run of a plan
-merges to **bit-identical** non-distributional metrics — costs, counters,
+The shard plane's correctness bar: a 4-shard run of a cell merges to
+**bit-identical** non-distributional metrics — costs, counters,
 violation/availability/goodput ratios, conservation sums — as a 1-shard
-run of the same plan, because both simulate exactly the same (app ×
-trace-slice) units with the same seeds and collapse them in the same
+run of the same cell, because both simulate exactly the same (app ×
+trace-slice) units with the same seeds and fold them in the same
 canonical order.  Latency quantiles from the merged sketch stay within
 the sketch's documented rank-error bound of the exact per-unit latencies.
 
@@ -18,6 +18,7 @@ sized for tier-1.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,12 +30,13 @@ from repro.experiments.parallel import (
     EnvSpec,
     MultiAppCellSpec,
     _environment,
+    merge_units,
     run_cell,
+    run_sharded,
 )
 from repro.experiments.scenario import ScenarioSpec
 from repro.faults.plan import ExecutionFault, FaultPlan, FlashCrowd, ResilienceSpec
 from repro.overload import OverloadSpec
-from repro.sharding import ShardPlan, run_sharded
 from repro.simulator import Runtime
 from repro.simulator.runtime import derive_slice_seed
 
@@ -50,6 +52,13 @@ def _cell(apps, duration, **knobs):
         ),
         policy="grandslam",
         **knobs,
+    )
+
+
+def _sharded(cell, *, shards, slices_per_app):
+    """``cell`` on the shard plane: ``shards`` workers over its slices."""
+    return dataclasses.replace(
+        cell, retention="sketch", shards=shards, slices_per_app=slices_per_app
     )
 
 
@@ -73,19 +82,17 @@ def assert_metrics_identical(merged: dict, reference: dict) -> None:
 
 
 class TestFourShardParity:
-    """The headline differential: 4 shards vs 1 shard, same plan."""
+    """The headline differential: 4 shards vs 1 shard, same cell."""
 
     DURATION = 400.0
 
     @pytest.fixture(scope="class")
     def snapshots(self):
         cell = _cell(APPS, self.DURATION)
-        plan4 = ShardPlan.for_apps(APPS, n_shards=4, slices_per_app=4)
-        plan1 = ShardPlan.for_apps(APPS, n_shards=1, slices_per_app=4)
         # Serial reference first: with the fork start method the pool
         # workers then inherit this process's warm environment cache.
-        reference = run_sharded(plan1, cell, processes=1)
-        sharded = run_sharded(plan4, cell)
+        reference = run_sharded(_sharded(cell, shards=1, slices_per_app=4))
+        sharded = run_sharded(_sharded(cell, shards=4, slices_per_app=4))
         return sharded, reference, cell.envs
 
     def test_snapshots_bit_identical(self, snapshots):
@@ -96,13 +103,11 @@ class TestFourShardParity:
 
     def test_merged_metrics_field_by_field(self, snapshots):
         sharded, reference, _ = snapshots
-        assert_metrics_identical(
-            sharded.per_app_metrics(), reference.per_app_metrics()
-        )
+        assert_metrics_identical(merge_units(sharded), merge_units(reference))
 
     def test_conservation_across_slices(self, snapshots):
         sharded, _, envs = snapshots
-        merged = sharded.per_app_metrics()
+        merged = merge_units(sharded)
         for env in envs:
             arrivals = len(_environment(env).trace)
             m = merged[env.app]
@@ -120,7 +125,7 @@ class TestFourShardParity:
         concatenated exact latencies.
         """
         sharded, _, envs = snapshots
-        merged = sharded.per_app_metrics()
+        merged = merge_units(sharded)
         env = envs[1]  # image-query: mid-size app keeps this affordable
         built = _environment(env)
         n_slices = 4
@@ -161,7 +166,7 @@ class TestOneSliceParity:
 
     Both seed the tenant with ``derive_app_seed(sim_seed, app)`` and run
     the whole trace on a cluster of its own, so a solo scenario cell and
-    ``run_sharded`` over the one-slice plan agree on every summary field.
+    its one ``run_sharded`` unit agree on every summary field.
     """
 
     @pytest.mark.parametrize("policy", ["grandslam", "icebreaker"])
@@ -173,9 +178,8 @@ class TestOneSliceParity:
             retention="sketch",
         ).cells()
         solo = run_cell(cell).summary["image-query"]
-        unit = run_sharded(
-            ShardPlan.for_apps(["image-query"]), cell
-        ).summary()["image-query"]
+        (result,) = run_sharded(cell)
+        unit = result.metrics.summary()
         assert set(solo) == set(unit)
         for key, value in solo.items():
             assert value == unit[key] or (
@@ -187,12 +191,6 @@ class TestChaosParity:
     """Fault counters survive the barrier merge bit for bit."""
 
     def test_fault_counters_survive_merge(self):
-        plan2 = ShardPlan.for_apps(
-            ["image-query"], n_shards=2, slices_per_app=2
-        )
-        plan1 = ShardPlan.for_apps(
-            ["image-query"], n_shards=1, slices_per_app=2
-        )
         faults = FaultPlan(
             execution_faults=(ExecutionFault(rate=0.25),),
             resilience=ResilienceSpec(
@@ -200,11 +198,11 @@ class TestChaosParity:
             ),
         )
         cell = _cell(["image-query"], 300.0, faults=faults)
-        sharded = run_sharded(plan2, cell)
-        reference = run_sharded(plan1, cell, processes=1)
+        sharded = run_sharded(_sharded(cell, shards=2, slices_per_app=2))
+        reference = run_sharded(_sharded(cell, shards=1, slices_per_app=2))
         assert sharded == reference
-        merged = sharded.per_app_metrics()
-        ref = reference.per_app_metrics()
+        merged = merge_units(sharded)
+        ref = merge_units(reference)
         assert_metrics_identical(merged, ref)
         m = merged["image-query"]
         # The chaos actually bit — and the bites made it through the merge.
@@ -214,7 +212,7 @@ class TestChaosParity:
 
 
 class TestOverloadParity:
-    """Overload counters commute with sharding (satellite, ISSUE 9).
+    """Overload counters commute with sharding.
 
     Admission decisions are a pure function of the arrival timestamps
     (no RNG, no wall clock), so every slice replays the same sheds and
@@ -224,12 +222,6 @@ class TestOverloadParity:
     """
 
     def test_overload_counters_survive_merge(self):
-        plan2 = ShardPlan.for_apps(
-            ["image-query"], n_shards=2, slices_per_app=2
-        )
-        plan1 = ShardPlan.for_apps(
-            ["image-query"], n_shards=1, slices_per_app=2
-        )
         faults = FaultPlan(
             flash_crowds=(FlashCrowd(rate=40.0, start=100.0, end=108.0),)
         )
@@ -240,11 +232,11 @@ class TestOverloadParity:
             admission_burst=10.0,
         )
         cell = _cell(["image-query"], 300.0, faults=faults, overload=overload)
-        sharded = run_sharded(plan2, cell)
-        reference = run_sharded(plan1, cell, processes=1)
+        sharded = run_sharded(_sharded(cell, shards=2, slices_per_app=2))
+        reference = run_sharded(_sharded(cell, shards=1, slices_per_app=2))
         assert sharded == reference
-        merged = sharded.per_app_metrics()
-        assert_metrics_identical(merged, reference.per_app_metrics())
+        merged = merge_units(sharded)
+        assert_metrics_identical(merged, merge_units(reference))
         m = merged["image-query"]
         # The overload machinery actually engaged on both sides of the
         # differential — the parity is not vacuous.
@@ -252,7 +244,7 @@ class TestOverloadParity:
         assert m.rejected > 0
         assert m.injected_arrivals > 0
         # peak depth merges by max over units, never exceeding the bound.
-        units = [u for u in sharded.units if u.unit.app == "image-query"]
+        units = [u for u in sharded if u.app == "image-query"]
         assert m.peak_queue_depth == max(
             u.metrics.peak_queue_depth for u in units
         )
@@ -275,11 +267,9 @@ class TestShardedCellExtras:
         )
         res = run_cell(cell)
         extras = res.extras["image-query"]
-        merged = run_sharded(
-            ShardPlan.for_apps(["image-query"], n_shards=1, slices_per_app=2),
-            cell,
-            processes=1,
-        ).per_app_metrics()["image-query"]
+        units = run_sharded(dataclasses.replace(cell, shards=1))
+        merged = merge_units(units)["image-query"]
+        assert res.events_processed == sum(u.events_processed for u in units)
         assert extras["arrivals"] == len(_environment(cell.envs[0]).trace)
         assert extras["initializations"] == merged.initializations > 0
         assert extras["completed"] == merged.completed_count
