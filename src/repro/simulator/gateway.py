@@ -462,6 +462,8 @@ class Gateway:
         self.policy.on_arrival(inv, self.ctx)
         for fi in self._sources:
             self._stage_ready(inv, fi)
+            if inv.abandoned_at is not None:
+                break  # shed at a full queue: ready no further source
         return inv
 
     def _reject(self, inv: Invocation, generation: int) -> None:
@@ -610,6 +612,8 @@ class Gateway:
                     if waiting[succ]:
                         continue
                 self._stage_ready(inv, succ)
+                if inv.abandoned_at is not None:
+                    break  # shed at a full queue: ready no further successor
             if inv.remaining == 0:
                 inv.completed_at = now
                 inv.waiting = None

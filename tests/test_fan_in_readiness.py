@@ -1,7 +1,8 @@
 """Stage readiness on recorded chaos co-runs, fan-in stages included.
 
 A stage becomes ready exactly once per attempt: its first readiness, then
-one more per scheduled retry; and a stage with several DAG predecessors
+one more per scheduled retry; no stage becomes ready once its invocation
+was shed; and a stage with several DAG predecessors
 (the joins ``TG`` of amber-alert and image-query, ``QA`` of
 voice-assistant) never becomes ready before the last of its predecessors
 finished.  Both are checked on the recorded
@@ -78,6 +79,20 @@ def test_one_ready_per_attempt(chaos_events):
             # Only a given-up invocation may leave a scheduled retry
             # unreadied (it timed out or was shed during the backoff).
             assert key[:2] in abandoned, key
+
+
+def test_no_ready_after_shed(chaos_events):
+    # A full bounded queue that sheds an invocation ends it there: none of
+    # its other sources or successors may ready (and enqueue) it after.
+    _, recorder = chaos_events
+    shed = set()
+    for e in recorder:
+        if e.type == "invocation_shed":
+            shed.add((e.app, e.invocation_id))
+        elif e.type == "stage_ready":
+            key = (e.app, e.invocation_id)
+            assert key not in shed, (*key, e.function)
+    assert shed  # the bounded queues did shed
 
 
 def test_fan_in_ready_after_every_predecessor(chaos_events):
