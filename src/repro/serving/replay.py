@@ -4,11 +4,12 @@ A request log's header carries the full session recipe (environment
 specs, policy, seeds, overload spec, horizon) and its request records
 carry every front-door arrival stamp — including arrivals the token
 bucket rejected, because the bucket is a pure function of the stamp
-sequence.  Rebuilding the same :class:`~repro.simulator.multiapp
-.MultiAppSimulator` over :meth:`Trace.from_request_log
-<repro.workload.trace.Trace.from_request_log>` traces therefore
-reproduces the live run's RunMetrics bit for bit: same invocation ids,
-same RNG streams, same admission decisions, same billing.
+sequence.  The log is read once (:func:`read_request_log`); rebuilding
+the same :class:`~repro.simulator.multiapp.MultiAppSimulator` over each
+app's recorded stamps (:meth:`ParsedLog.request_times`) up to the
+header's horizon therefore reproduces the live run's RunMetrics bit for
+bit: same invocation ids, same RNG streams, same admission decisions,
+same billing.
 
 :func:`verify_replay` compares the replayed metrics against the log's
 recorded footer field by field — the closed-loop CI check.
@@ -19,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.experiments.parallel import (
     EnvSpec,
@@ -81,16 +84,23 @@ class ReplayResult:
 
 
 def replay_request_log(path: str | Path) -> ReplayResult:
-    """Re-run a recorded session offline; returns per-app metrics."""
+    """Re-run a recorded session offline; returns per-app metrics.
+
+    Each app replays its recorded arrival stamps over the session horizon
+    from the header, so the replay schedules as many window ticks as the
+    live run did.
+    """
     parsed = read_request_log(path)
     cell = cell_from_header(parsed.header)
+    horizon = float(parsed.header["horizon"])
     deployments = []
     for spec in cell.envs:
         env = _environment(spec)
+        times = np.asarray(parsed.request_times(env.app.name), dtype=float)
         deployments.append(
             Deployment(
                 env.app,
-                Trace.from_request_log(path, app=env.app.name),
+                Trace(times, duration=horizon),
                 env.make_policy(cell.policy),
             )
         )

@@ -20,9 +20,10 @@ truncated safely:
   --replay`` verify bit-identical reproduction without the original
   process.
 
-:func:`read_request_log` parses a log back into a :class:`ParsedLog`;
-:meth:`repro.workload.Trace.from_request_log` consumes the same format
-independently (the workload layer never imports this package).
+:func:`read_request_log` parses a log back into a :class:`ParsedLog`,
+the one reader of the format; offline replay
+(:mod:`repro.serving.replay`) builds each app's trace from its
+:meth:`ParsedLog.request_times`.
 """
 
 from __future__ import annotations

@@ -126,54 +126,6 @@ class Trace:
         return Trace(self._times + offset, duration=self.duration + offset)
 
     @classmethod
-    def from_request_log(
-        cls,
-        path,
-        *,
-        app: str,
-        duration: float | None = None,
-    ) -> "Trace":
-        """Arrival stamps of one app from a serving request log (JSONL).
-
-        The live serving façade (:mod:`repro.serving`) appends one
-        ``{"kind": "request", "app": ..., "t": ...}`` record per
-        front-door request — *including* requests its token bucket
-        rejected, because admission is a pure function of the stamp
-        sequence and replaying every stamp reproduces the identical
-        rejections.  The trace duration defaults to the session horizon
-        recorded in the log's header, so the replay schedules the same
-        number of window ticks as the live run.
-
-        This parser is deliberately self-contained (plain ``json``, no
-        :mod:`repro.serving` import): the workload layer stays below the
-        serving layer, and importing it never loads the serving package.
-        """
-        import json
-        from pathlib import Path
-
-        times: list[float] = []
-        header_duration: float | None = None
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                kind = record.get("kind")
-                if kind == "header":
-                    header_duration = record.get("horizon")
-                elif kind == "request" and record.get("app") == app:
-                    times.append(float(record["t"]))
-        if duration is None:
-            duration = header_duration
-        if duration is None:
-            raise ValueError(
-                f"{path}: no horizon in the log header and no explicit "
-                "duration given"
-            )
-        return cls(np.asarray(times, dtype=float), duration=float(duration))
-
-    @classmethod
     def from_counts(
         cls,
         counts: np.ndarray | list[int],
