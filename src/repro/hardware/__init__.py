@@ -32,7 +32,6 @@ from repro.hardware.perfmodel import (
 )
 from repro.hardware.servicetime import (
     FixedServiceTime,
-    InitModel,
     PerformanceOracle,
     ServiceTimeModel,
     TokenBackendCurve,
@@ -55,7 +54,6 @@ __all__ = [
     "PerfProfile",
     "GroundTruthPerformance",
     "ServiceTimeModel",
-    "InitModel",
     "PerformanceOracle",
     "FixedServiceTime",
     "TokenThroughputCurve",

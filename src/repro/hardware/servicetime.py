@@ -61,11 +61,6 @@ class WorkUnit:
         if self.tokens_in + self.tokens_out <= 0:
             raise ValueError("work unit must carry at least one token")
 
-    @property
-    def total_tokens(self) -> int:
-        """Total token volume of this invocation."""
-        return self.tokens_in + self.tokens_out
-
     @classmethod
     def combine(cls, works: Iterable["WorkUnit"]) -> "WorkUnit":
         """Padded-batch semantics: a batch runs at the longest member's work."""
@@ -94,15 +89,6 @@ class ServiceTimeModel(Protocol):
         work: WorkUnit | None = None,
     ) -> float:
         """Expected wall-clock service time."""
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class InitModel(Protocol):
-    """Protocol: wall-clock cost of bringing an instance up."""
-
-    def init_time(self, config: HardwareConfig) -> float:
-        """Sampled (or expected) cold-start initialization time."""
         ...  # pragma: no cover - protocol
 
 

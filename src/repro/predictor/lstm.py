@@ -27,8 +27,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.utils.rng import ensure_rng
-
 
 def _xavier(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     scale = np.sqrt(6.0 / (rows + cols))
@@ -410,7 +408,3 @@ def shuffled_batches(
         for start in range(0, n, batch_size):
             yield order[start : start + batch_size]
 
-
-def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
-    """Alias of :func:`repro.utils.rng.ensure_rng` for predictor modules."""
-    return ensure_rng(seed)

@@ -194,9 +194,6 @@ class SimDriver:
                 "live serving does not record telemetry traces "
                 "(it writes a request log instead)"
             )
-        names = [spec.app for spec in cell.envs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate application names: {names}")
         self.cell = cell
         self.horizon = float(horizon)
         self.runtime = Runtime(

@@ -39,6 +39,13 @@ class TestCellExecution:
         assert cells[0].envs[0].sla == 1.0
         assert cells[-1].envs[0].app == "a2"
 
+    def test_cell_rejects_duplicate_apps(self):
+        # One env per app: a sharded cell builds its units from the envs,
+        # so a duplicate would be simulated twice and merged.
+        env = EnvSpec(app="image-query", duration=DURATION)
+        with pytest.raises(ValueError, match="duplicate"):
+            MultiAppCellSpec(envs=(env, env), policy="grandslam")
+
     def test_run_grid_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             run_grid([], workers=0)
