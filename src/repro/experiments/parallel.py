@@ -332,8 +332,8 @@ class UnitResult:
     app: str
     slice_index: int
     metrics: "RunMetrics"
-    events_processed: int = 0
-    arrivals: int = 0
+    events_processed: int
+    arrivals: int
     #: Host timing, not simulation outcome — excluded from equality so two
     #: runs of the same unit compare equal bit for bit.
     wall_clock: float = field(default=0.0, compare=False)

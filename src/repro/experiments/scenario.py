@@ -89,8 +89,9 @@ class ScenarioSpec:
     #: non-distributional metrics are independent of it.
     shards: int = 1
     #: Trace slices per app: ``> 1`` runs every cell on the shard plane
-    #: (:func:`~repro.experiments.parallel.run_sharded`).  Part of the experiment definition (it
-    #: changes which simulations run), unlike ``shards``.
+    #: (:func:`~repro.experiments.parallel.run_sharded`).  Part of the
+    #: experiment definition (it changes which simulations run), unlike
+    #: ``shards``.
     slices_per_app: int = 1
     #: Replay the published Azure Functions CSV at this path as every
     #: cell's evaluation trace (``repro scenario --azure-trace PATH``);

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.experiments.parallel import (
     EnvSpec,
     MultiAppCellSpec,
@@ -92,15 +90,14 @@ def replay_request_log(path: str | Path) -> ReplayResult:
     """
     parsed = read_request_log(path)
     cell = cell_from_header(parsed.header)
-    horizon = float(parsed.header["horizon"])
+    horizon = parsed.header["horizon"]
     deployments = []
     for spec in cell.envs:
         env = _environment(spec)
-        times = np.asarray(parsed.request_times(env.app.name), dtype=float)
         deployments.append(
             Deployment(
                 env.app,
-                Trace(times, duration=horizon),
+                Trace(parsed.request_times(env.app.name), duration=horizon),
                 env.make_policy(cell.policy),
             )
         )
