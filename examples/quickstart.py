@@ -29,8 +29,10 @@ def main() -> None:
     # 2. Offline profiling (25 CPU + 50 GPU samples per function, §IV-A).
     profiler = OfflineProfiler()
     profiles = profiler.profile_app(app, rng=1)
+    plan = profiler.plan
+    samples = len(plan.cpu_grid()) + len(plan.gpu_grid())
     print(f"\nProfiled {len(profiles)} functions "
-          f"({len(profiler.store)} timing samples collected)")
+          f"({samples} inference samples each)")
 
     # 3. A 10-minute Azure-like trace plus an hour of training history.
     workload = AzureLikeWorkload.preset("steady", seed=6)

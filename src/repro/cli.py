@@ -374,6 +374,11 @@ def _bench_provenance() -> dict:
     }
 
 
+def _aggregate_rate(preset: str) -> float:
+    """Arrivals per second of ``PAPER_APPS`` co-run under ``preset``."""
+    return (1.0 / PRESETS[preset].mean_gap) * len(PAPER_APPS)
+
+
 def _bench_cell(args):
     """The macro bench's cell: ``PAPER_APPS`` co-run for ``--invocations``.
 
@@ -381,12 +386,11 @@ def _bench_cell(args):
     unless ``--duration`` overrides it; raises ``ValueError`` on an
     invalid combination.
     """
-    aggregate_rate = (1.0 / PRESETS[args.preset].mean_gap) * len(PAPER_APPS)
     return _scenario_spec(
         args,
         apps=PAPER_APPS,
         # Defaults that --duration and --slices-per-app override.
-        duration=math.ceil(args.invocations / aggregate_rate),
+        duration=math.ceil(args.invocations / _aggregate_rate(args.preset)),
         slices_per_app=4 if args.shards > 1 else 1,
     ).cell()
 
@@ -413,7 +417,6 @@ def cmd_bench(args) -> int:
 
     # Mode selection (--macro) is enforced by the argparse group; by the
     # time we are here a mode is guaranteed.
-    aggregate_rate = (1.0 / PRESETS[args.preset].mean_gap) * len(PAPER_APPS)
     try:
         spec = _bench_cell(args)
     except ValueError as exc:
@@ -437,7 +440,8 @@ def cmd_bench(args) -> int:
     )
     print(
         f"macro bench: {len(PAPER_APPS)} apps x preset {args.preset!r} "
-        f"(~{aggregate_rate:.0f} arrivals/s aggregate) for {duration:.0f}s "
+        f"(~{_aggregate_rate(args.preset):.0f} arrivals/s aggregate) "
+        f"for {duration:.0f}s "
         f"under {args.policy!r}, retention={spec.retention!r}{shard_banner}"
     )
     res = run_cell(spec)

@@ -46,17 +46,10 @@ class AutoScaler:
         self,
         space: ConfigurationSpace,
         max_batch: int = 32,
-        *,
-        include_init_cost: bool = True,
     ) -> None:
         check_positive("max_batch", max_batch)
         self.space = space
         self.max_batch = int(max_batch)
-        # Burst responses launch *new* instances whose initialization is
-        # billed and delays availability; charging ``T`` alongside ``IT``
-        # steers scale-out toward fast-starting backends — the reason the
-        # CPU-to-GPU ratio climbs during bursts (Fig. 14b).
-        self.include_init_cost = bool(include_init_cost)
 
     def max_feasible_batch(
         self,
@@ -136,10 +129,12 @@ class AutoScaler:
                 np.array([b for _, b in feasible]), predicted_invocations
             )
             instances_a = -(-predicted_invocations // batches)
-            billed = inter_arrival + (
-                np.array([profile.init_time(c) for c, _ in feasible])
-                if self.include_init_cost
-                else 0.0
+            # Burst responses launch *new* instances whose initialization is
+            # billed and delays availability; charging ``T`` alongside ``IT``
+            # steers scale-out toward fast-starting backends — the reason the
+            # CPU-to-GPU ratio climbs during bursts (Fig. 14b).
+            billed = inter_arrival + np.array(
+                [profile.init_time(c) for c, _ in feasible]
             )
             costs = (
                 instances_a * billed

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.autoscaler import AutoScaler, ScalingDecision
-from repro.core.path_search import PathSearchOptimizer
 from repro.core.workflow import ExecutionStrategy, WorkflowManager
 from repro.dag.graph import AppDAG
 from repro.hardware.configs import ConfigurationSpace
@@ -31,15 +30,12 @@ class OptimizerEngine:
     """End-to-end optimizer: strategy generation plus window-level scaling."""
 
     space: ConfigurationSpace
-    top_k: int = 1
-    max_batch: int = 32
     workflow: WorkflowManager = field(init=False)
     autoscaler: AutoScaler = field(init=False)
 
     def __post_init__(self) -> None:
-        optimizer = PathSearchOptimizer(self.space, top_k=self.top_k)
-        self.workflow = WorkflowManager(self.space, optimizer)
-        self.autoscaler = AutoScaler(self.space, max_batch=self.max_batch)
+        self.workflow = WorkflowManager(self.space)
+        self.autoscaler = AutoScaler(self.space)
 
     def strategy(
         self,

@@ -404,8 +404,3 @@ class FaultPlan:
             if storm.matches(t):
                 return storm
         return None
-
-    @property
-    def max_machine(self) -> int:
-        """Highest machine index any outage targets (-1 with no outages)."""
-        return max((o.machine for o in self.outages), default=-1)

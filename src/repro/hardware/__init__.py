@@ -31,9 +31,6 @@ from repro.hardware.perfmodel import (
     PerfProfile,
 )
 from repro.hardware.servicetime import (
-    FixedServiceTime,
-    PerformanceOracle,
-    ServiceTimeModel,
     TokenBackendCurve,
     TokenServiceTime,
     TokenThroughputCurve,
@@ -53,9 +50,6 @@ __all__ = [
     "InitTimeParams",
     "PerfProfile",
     "GroundTruthPerformance",
-    "ServiceTimeModel",
-    "PerformanceOracle",
-    "FixedServiceTime",
     "TokenThroughputCurve",
     "TokenBackendCurve",
     "TokenServiceTime",

@@ -177,7 +177,7 @@ class ConfigurationSpace:
         configs: list[HardwareConfig] = [HardwareConfig.cpu(c) for c in cpu_cores]
         configs.extend(HardwareConfig.gpu(f) for f in gpu_fractions)
         self._configs = tuple(sorted(configs))
-        self._by_key = {c.key: c for c in self._configs}
+        self._keys = frozenset(c.key for c in self._configs)
 
     def __len__(self) -> int:
         return len(self._configs)
@@ -186,19 +186,12 @@ class ConfigurationSpace:
         return iter(self._configs)
 
     def __contains__(self, config: HardwareConfig) -> bool:
-        return config.key in self._by_key
+        return config.key in self._keys
 
     @property
     def configs(self) -> tuple[HardwareConfig, ...]:
         """All configurations, sorted cheapest-first."""
         return self._configs
-
-    def by_key(self, key: str) -> HardwareConfig:
-        """Look up a configuration by its string key."""
-        try:
-            return self._by_key[key]
-        except KeyError:
-            raise KeyError(f"config {key!r} not in space") from None
 
     def cpu_configs(self) -> tuple[HardwareConfig, ...]:
         """CPU-backed configurations only, cheapest-first."""

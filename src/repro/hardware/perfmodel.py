@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.configs import Backend, HardwareConfig
-from repro.hardware.servicetime import ServiceTimeModel, WorkUnit
+from repro.hardware.servicetime import TokenServiceTime, WorkUnit
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive
 
@@ -60,10 +60,6 @@ class LatencyParams:
         check_positive("batch", batch)
         return self.lam * batch * (self.alpha / resources + self.beta) + self.gamma
 
-    def as_vector(self) -> np.ndarray:
-        """Parameters as ``[lam, alpha, beta, gamma]`` (profiler fitting)."""
-        return np.array([self.lam, self.alpha, self.beta, self.gamma])
-
 
 @dataclass(frozen=True)
 class InitTimeParams:
@@ -93,8 +89,7 @@ class PerfProfile:
     absent, keeping the fixed-latency path bit-identical):
 
     - ``service_model`` — a :class:`~repro.hardware.servicetime
-      .ServiceTimeModel` (e.g. :class:`~repro.hardware.servicetime
-      .TokenServiceTime`) that replaces the Eq. 1/2 law; ``cpu``/``gpu``
+      .TokenServiceTime` that replaces the Eq. 1/2 law; ``cpu``/``gpu``
       must then hold the model's typical-work equivalent law so planners
       that never pass work stay consistent;
     - ``swap_gpu`` — the host→GPU swap-in time model of a swap-capable
@@ -111,7 +106,7 @@ class PerfProfile:
     mem_knee_gb: float = 2.0
     min_batch: int = 1
     max_batch: int = 32
-    service_model: ServiceTimeModel | None = None
+    service_model: TokenServiceTime | None = None
     swap_gpu: InitTimeParams | None = None
 
     def __post_init__(self) -> None:
@@ -120,10 +115,6 @@ class PerfProfile:
                 f"swap-in must beat a cold start: swap mean "
                 f"{self.swap_gpu.mean} >= init_gpu mean {self.init_gpu.mean}"
             )
-
-    def latency_params(self, backend: Backend) -> LatencyParams:
-        """The latency law for ``backend``."""
-        return self.cpu if backend is Backend.CPU else self.gpu
 
     def init_params(self, backend: Backend) -> InitTimeParams:
         """The initialization model for ``backend``."""
@@ -150,17 +141,6 @@ class PerfProfile:
     def expected_init_time(self, config: HardwareConfig) -> float:
         """Noise-free (mean) initialization time under ``config``."""
         return self.init_params(config.backend).mean
-
-    @property
-    def swap_capable(self) -> bool:
-        """Whether this model can page host↔GPU instead of cold-starting."""
-        return self.swap_gpu is not None
-
-    def expected_swap_time(self, config: HardwareConfig) -> float | None:
-        """Noise-free swap-in time, or ``None`` when swap does not apply."""
-        if self.swap_gpu is None or config.backend is not Backend.GPU:
-            return None
-        return self.swap_gpu.mean
 
 
 class GroundTruthPerformance:

@@ -1,4 +1,4 @@
-"""Pluggable service-time models (the perf-model protocol seam).
+"""Token-driven service times (the one pluggable service-time model).
 
 The paper's latency law (Eq. 1/2) makes every stage's service time a fixed
 function of (configuration, batch).  Two related systems break that
@@ -8,29 +8,23 @@ prefill and a decode phase, and Torpor/FaaSwap-style GPU model swapping,
 where paging a host-resident model onto the GPU is far cheaper than a
 cold start.
 
-This module defines the seam both regimes plug into:
+The token regime plugs in here:
 
 - :class:`WorkUnit` — the per-invocation work descriptor (token counts);
-- :class:`ServiceTimeModel` — the protocol every service-time
-  implementation satisfies (``expected(config, batch, work)``);
-- :class:`FixedServiceTime` — the default deterministic implementation,
-  equivalent to evaluating the Eq. 1/2 law directly (profiles without an
-  explicit model keep the original code path, bit-identical);
 - :class:`TokenServiceTime` — token-driven service times with a
-  tokens/sec throughput curve per backend and a prefill/decode split;
-- :class:`PerformanceOracle` — the structural interface the gateway
-  consumes (``inference_time`` / ``init_time`` / ``swap_in_time``), so the
-  simulator depends on the protocol rather than on
-  :class:`~repro.hardware.perfmodel.GroundTruthPerformance` concretely.
+  tokens/sec throughput curve per backend and a prefill/decode split.
 
-This module sits below :mod:`repro.hardware.perfmodel` (it imports only
-``configs``), so the concrete profile classes can import it freely.
+Profiles without a token model evaluate the Eq. 1/2 law inline
+(:meth:`~repro.hardware.perfmodel.PerfProfile.expected_inference_time`),
+the golden-pinned default path.  This module sits below
+:mod:`repro.hardware.perfmodel` (it imports only ``configs``), so the
+concrete profile classes can import it freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable
 
 from repro.hardware.configs import Backend, HardwareConfig
 from repro.utils.validation import check_positive
@@ -71,80 +65,6 @@ class WorkUnit:
             tokens_in=max(w.tokens_in for w in works),
             tokens_out=max(w.tokens_out for w in works),
         )
-
-
-@runtime_checkable
-class ServiceTimeModel(Protocol):
-    """Protocol: noise-free expected service time of one stage execution.
-
-    ``work`` is ``None`` for planning-time queries (profiler fits, policy
-    optimization); implementations must answer with a typical-work
-    estimate so the planning layers need no knowledge of the regime.
-    """
-
-    def expected(
-        self,
-        config: HardwareConfig,
-        batch: int = 1,
-        work: WorkUnit | None = None,
-    ) -> float:
-        """Expected wall-clock service time."""
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class PerformanceOracle(Protocol):
-    """What the gateway requires of a performance oracle.
-
-    :class:`~repro.hardware.perfmodel.GroundTruthPerformance` satisfies
-    this structurally; alternative oracles (replayed measurements, learned
-    simulators) only need these members.
-    """
-
-    def inference_time(
-        self,
-        config: HardwareConfig,
-        batch: int = 1,
-        work: WorkUnit | None = None,
-    ) -> float:
-        """Sampled wall-clock service time of one execution."""
-        ...  # pragma: no cover - protocol
-
-    def init_time(self, config: HardwareConfig) -> float:
-        """Sampled wall-clock cold-start time."""
-        ...  # pragma: no cover - protocol
-
-    def swap_in_time(self, config: HardwareConfig) -> float:
-        """Sampled host→GPU swap-in time (swap-capable profiles only)."""
-        ...  # pragma: no cover - protocol
-
-
-@dataclass(frozen=True)
-class FixedServiceTime:
-    """The default deterministic model: the Eq. 1/2 law, work ignored.
-
-    ``cpu`` / ``gpu`` duck-type
-    :class:`~repro.hardware.perfmodel.LatencyParams` (anything exposing
-    ``latency(resources, batch)``).  Profiles without an explicit
-    ``service_model`` never construct this class — they keep the original
-    inline evaluation, so the default path stays bit-identical — but the
-    two are algebraically the same expression and a differential test pins
-    their equality.
-    """
-
-    cpu: object | None
-    gpu: object | None
-
-    def expected(
-        self,
-        config: HardwareConfig,
-        batch: int = 1,
-        work: WorkUnit | None = None,
-    ) -> float:
-        params = self.cpu if config.backend is Backend.CPU else self.gpu
-        if params is None:
-            raise ValueError(f"no latency law for backend {config.backend}")
-        return params.latency(resources_of(config), batch)
 
 
 @dataclass(frozen=True)

@@ -144,14 +144,6 @@ class OverloadSpec:
 
     # ------------------------------------------------------------- queries
     @property
-    def bounds_queues(self) -> bool:
-        return self.queue_limit is not None
-
-    @property
-    def admits(self) -> bool:
-        return self.admission_rate is not None
-
-    @property
     def breaks_circuits(self) -> bool:
         return self.breaker_failures is not None
 

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.prewarming import ColdStartPolicy
 from repro.hardware.configs import ConfigurationSpace
 from repro.policies.registry import register_policy
-from repro.policies.smiless import SMIlessPolicy
+from repro.policies.smiless import IT_REBUCKET_RATIO, SMIlessPolicy
 from repro.profiler.profiles import FunctionProfile
 from repro.simulator.gateway import SimulationContext
 from repro.simulator.invocation import Invocation
@@ -49,7 +49,7 @@ class SMIlessNoDagPolicy(SMIlessPolicy):
             from repro.core.prewarming import evaluate_assignment
             from repro.core.workflow import WorkflowManager
 
-            rep_it = float(self.it_rebucket_ratio**bucket)
+            rep_it = float(IT_REBUCKET_RATIO**bucket)
             share = self._app.sla * (1.0 - self.sla_margin) / len(self._app)
             cands = build_candidates(
                 self._app.function_names, self.profiles, self.space, rep_it

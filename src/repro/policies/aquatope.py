@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.prewarming import evaluate_assignment
 from repro.dag.graph import AppDAG
 from repro.hardware.configs import ConfigurationSpace, HardwareConfig
 from repro.policies.base import Policy
@@ -45,14 +44,12 @@ class AquatopePolicy(Policy):
         *,
         space: ConfigurationSpace | None = None,
         keep_alive: float = 5.0,
-        planning_it: float = 10.0,
         n_iter: int = 60,
         seed: int = 0,
     ) -> None:
         self.profiles = dict(profiles)
         self.space = space or ConfigurationSpace.default()
         self.keep_alive = float(keep_alive)
-        self.planning_it = float(planning_it)
         self.n_iter = int(n_iter)
         self.seed = int(seed)
         self.assignment: dict[str, HardwareConfig] = {}

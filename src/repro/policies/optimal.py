@@ -31,6 +31,8 @@ from repro.workload.trace import Trace
 #: DAG size above which full enumeration is replaced by per-path exhaustive
 #: search plus combining (15^5 whole-DAG evaluations already take ~30 s).
 _FULL_ENUMERATION_LIMIT = 4
+#: Seconds a clairvoyant pre-warm lands ahead of the true arrival.
+_INIT_SLACK = 1.0
 
 
 @register_policy("opt", args=("oracle", "trace"))
@@ -46,14 +48,12 @@ class OptimalPolicy(Policy):
         *,
         space: ConfigurationSpace | None = None,
         window: float = 1.0,
-        init_slack: float = 1.0,
         sla_margin: float = 0.1,
     ) -> None:
         self.profiles = dict(profiles)
         self.trace = trace
         self.space = space or ConfigurationSpace.default()
         self.window = float(window)
-        self.init_slack = float(init_slack)
         # Even the oracle plans with headroom: stage execution times are
         # stochastic, so a plan at exactly the SLA violates half the time.
         self.sla_margin = float(sla_margin)
@@ -100,7 +100,7 @@ class OptimalPolicy(Policy):
                     config=plan.config,
                     keep_alive=0.0,
                     batch=1,
-                    warm_grace=2.0 * self.init_slack + 1.0,
+                    warm_grace=2.0 * _INIT_SLACK + 1.0,
                 ),
                 reason="oracle: exhaustive-search assignment, pre-warm regime",
             )
@@ -110,7 +110,7 @@ class OptimalPolicy(Policy):
 
     def _schedule_for_arrival(self, t_arrival: float, ctx: SimulationContext) -> None:
         for fn, plan in self._plans.items():
-            start = t_arrival + self._offsets[fn] - plan.init_time - self.init_slack  # type: ignore[attr-defined]
+            start = t_arrival + self._offsets[fn] - plan.init_time - _INIT_SLACK  # type: ignore[attr-defined]
             ctx.schedule_warmup(fn, start, config=plan.config)  # type: ignore[attr-defined]
 
     def on_arrival(self, invocation: Invocation, ctx: SimulationContext) -> None:
@@ -131,11 +131,11 @@ class OptimalPolicy(Policy):
                         config=plan.config,  # type: ignore[attr-defined]
                         keep_alive=0.0,
                         batch=1,
-                        warm_grace=2.0 * self.init_slack + 1.0,
+                        warm_grace=2.0 * _INIT_SLACK + 1.0,
                     ),
                     reason=f"oracle: true gap {gap:.2f}s favors pre-warm",
                 )
-                start = t_next + self._offsets[fn] - t - self.init_slack
+                start = t_next + self._offsets[fn] - t - _INIT_SLACK
                 ctx.schedule_warmup(fn, start, config=plan.config)  # type: ignore[attr-defined]
             else:
                 ctx.set_directive(

@@ -33,6 +33,8 @@ from repro.simulator.invocation import FunctionDirective, Invocation
 #: IT used for *planning*: effectively infinite, so every function is priced
 #: and managed as if right pre-warming always applies.
 _PLANNING_IT = 1e9
+#: Gap assumed before any inter-arrival has been observed.
+_DEFAULT_IT = 10.0
 
 
 @register_policy("orion")
@@ -46,11 +48,9 @@ class OrionPolicy(Policy):
         profiles: Mapping[str, FunctionProfile],
         *,
         space: ConfigurationSpace | None = None,
-        default_it: float = 10.0,
     ) -> None:
         self.profiles = dict(profiles)
         self.space = space or ConfigurationSpace.default()
-        self.default_it = float(default_it)
         self._start_offsets: dict[str, float] = {}
         self._plans: dict[str, object] = {}
 
@@ -78,7 +78,7 @@ class OrionPolicy(Policy):
     def on_arrival(self, invocation: Invocation, ctx: SimulationContext) -> None:
         """Pre-warm for the next invocation at the mean observed gap."""
         gaps = gaps_from_counts(ctx.counts_history())
-        it = float(np.mean(gaps[-10:])) if gaps.size else self.default_it
+        it = float(np.mean(gaps[-10:])) if gaps.size else _DEFAULT_IT
         t_next = ctx.now + it
         for fn in ctx.app.function_names:
             plan = self._plans[fn]

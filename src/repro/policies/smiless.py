@@ -44,6 +44,11 @@ from repro.simulator.invocation import FunctionDirective, Invocation
 KEEP_ALIVE_MARGIN = 1.25
 #: Grace period for a pre-warmed instance awaiting its predicted arrival.
 WARM_GRACE = 6.0
+#: Geometric width of one inter-arrival bucket: predictions within a bucket
+#: share one optimized strategy.
+IT_REBUCKET_RATIO = 1.8
+#: Seconds a burst-level count keeps the policy in burst context.
+BURST_HOLDOVER = 20.0
 
 #: Trained predictors keyed by (kind, training-series digest, seed).
 #: Training is deterministic in those inputs (fixed default hyperparameters,
@@ -135,19 +140,15 @@ class SMIlessPolicy(Policy):
         invocation_predictor: InvocationPredictor | None = None,
         interarrival_predictor: InterArrivalPredictor | None = None,
         default_it: float = 10.0,
-        it_rebucket_ratio: float = 1.8,
         prewarm_safety: float = 1.0,
         sla_margin: float = 0.1,
-        burst_holdover: float = 20.0,
         seed: int = 0,
     ) -> None:
         self.profiles = dict(profiles)
         self.space = space or ConfigurationSpace.default()
         self.engine = OptimizerEngine(self.space)
         self.default_it = float(default_it)
-        self.it_rebucket_ratio = float(it_rebucket_ratio)
         self.prewarm_safety = float(prewarm_safety)
-        self.burst_holdover = float(burst_holdover)
         # Burst capacity must arrive while the burst is still running.
         self.burst_react_init = 4.0
         if not 0.0 <= sla_margin < 1.0:
@@ -371,7 +372,7 @@ class SMIlessPolicy(Policy):
 
     # -- strategy management -------------------------------------------------
     def _it_bucket(self, it: float) -> int:
-        return int(round(math.log(max(it, 1e-3), self.it_rebucket_ratio)))
+        return int(round(math.log(max(it, 1e-3), IT_REBUCKET_RATIO)))
 
     def _strategy_for(self, it: float) -> ExecutionStrategy:
         assert self._app is not None
@@ -379,7 +380,7 @@ class SMIlessPolicy(Policy):
         if bucket not in self._strategy_cache:
             # Optimize at the bucket's representative IT so nearby predictions
             # share one strategy (bounds optimizer invocations).
-            rep_it = float(self.it_rebucket_ratio**bucket)
+            rep_it = float(IT_REBUCKET_RATIO**bucket)
             self._strategy_cache[bucket] = self.engine.strategy(
                 self._app,
                 self.profiles,
@@ -550,7 +551,7 @@ class SMIlessPolicy(Policy):
         self._current_it_upper = self._predicted(counts, "it_upper")
 
         # Burst context: burst-level counts seen within the holdover period.
-        hold = int(self.burst_holdover / ctx.window)
+        hold = int(BURST_HOLDOVER / ctx.window)
         recent_peak = (
             int(counts[-min(counts.size, hold):].max()) if counts.size else 0
         )
@@ -562,7 +563,7 @@ class SMIlessPolicy(Policy):
         # whose stage latencies match neither plan.  During a burst the gap
         # estimate is polluted by intra-burst gaps, so the strategy is
         # frozen until the burst holdover passes.
-        band = self.it_rebucket_ratio**1.5
+        band = IT_REBUCKET_RATIO**1.5
         installed_it = self.strategy.inter_arrival
         if (
             not self._inactive

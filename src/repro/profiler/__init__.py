@@ -1,7 +1,7 @@
 """Offline Profiler (paper §IV-A): measurement collection and model fitting.
 
-The profiler collects initialization and inference timing samples from
-running functions (stored in a Prometheus-like metric store) and fits:
+The profiler draws initialization and inference timing samples from
+running functions and fits, straight from the samples it draws:
 
 - the Amdahl-law inference-time model of Eq. (1)/(2) per backend, via
   linear least squares on the features ``[B/resources, B, 1]``;
@@ -17,12 +17,8 @@ from repro.profiler.fitting import FittedLatencyModel, fit_latency_model, smape
 from repro.profiler.inittime import InitTimeEstimate, estimate_init_time
 from repro.profiler.profiles import FunctionProfile
 from repro.profiler.sampler import OfflineProfiler, ProfilingPlan, oracle_profile
-from repro.profiler.store import MetricKind, MetricSample, MetricStore
 
 __all__ = [
-    "MetricKind",
-    "MetricSample",
-    "MetricStore",
     "FittedLatencyModel",
     "fit_latency_model",
     "smape",

@@ -5,8 +5,8 @@ The paper's Offline Profiler achieves <8 % average SMAPE from only
 cores) and 50 GPU samples (10 MPS fractions x 5 batch sizes), repeating
 each initialization 10 times (§IV-A, §VII-C1).  :class:`ProfilingPlan`
 encodes exactly that default grid; :class:`OfflineProfiler` runs the plan
-against the ground-truth oracle, records every measurement in the metric
-store, and fits a :class:`FunctionProfile` per function.
+against the ground-truth oracle and fits a :class:`FunctionProfile` per
+function straight from the samples it draws.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.hardware.perfmodel import GroundTruthPerformance, PerfProfile
 from repro.profiler.fitting import FittedLatencyModel, fit_latency_model
 from repro.profiler.inittime import DEFAULT_UNCERTAINTY, estimate_init_time
 from repro.profiler.profiles import FunctionProfile
-from repro.profiler.store import MetricKind, MetricStore
 from repro.utils.rng import ensure_rng
 
 
@@ -75,34 +74,33 @@ class ProfilingPlan:
 class OfflineProfiler:
     """Runs profiling campaigns and produces :class:`FunctionProfile` objects.
 
-    ``oracles`` maps function name -> ground-truth oracle (the simulator's
-    stand-in for actually executing the function).  All raw measurements are
-    kept in ``store`` so tests and Fig. 11 benches can inspect them.
+    Each campaign queries a ground-truth oracle (the simulator's stand-in
+    for actually executing the function) and fits the profile straight
+    from the samples it draws; no raw measurement outlives the fit.
     """
 
     plan: ProfilingPlan = field(default_factory=ProfilingPlan.paper_default)
     n_sigma: float = DEFAULT_UNCERTAINTY
-    store: MetricStore = field(default_factory=MetricStore)
 
     def profile_function(
         self, name: str, oracle: GroundTruthPerformance
     ) -> FunctionProfile:
         """Measure one function per the plan and fit its profile."""
-        cpu_model = self._fit_backend(name, oracle, self.plan.cpu_grid())
-        gpu_model = self._fit_backend(name, oracle, self.plan.gpu_grid())
+        cpu_model = self._fit_backend(oracle, self.plan.cpu_grid())
+        gpu_model = self._fit_backend(oracle, self.plan.gpu_grid())
 
         init_cpu = init_gpu = swap_gpu = None
         if self.plan.cpu_cores:
             cfg = HardwareConfig.cpu(self.plan.cpu_cores[0])
-            init_cpu = self._estimate_init(name, oracle, cfg)
+            init_cpu = self._estimate_init(oracle, cfg)
         if self.plan.gpu_fractions:
             cfg = HardwareConfig.gpu(self.plan.gpu_fractions[0])
-            init_gpu = self._estimate_init(name, oracle, cfg)
+            init_gpu = self._estimate_init(oracle, cfg)
             if oracle.supports_swap:
                 # Swap-capable models additionally get a swap-in campaign;
                 # default models draw nothing extra, so their oracle noise
                 # streams (and everything fitted from them) are untouched.
-                swap_gpu = self._estimate_init(name, oracle, cfg, swap=True)
+                swap_gpu = self._estimate_init(oracle, cfg, swap=True)
 
         return FunctionProfile(
             function=name,
@@ -134,7 +132,6 @@ class OfflineProfiler:
     # -- internals ----------------------------------------------------------
     def _fit_backend(
         self,
-        name: str,
         oracle: GroundTruthPerformance,
         grid: tuple[tuple[HardwareConfig, int], ...],
     ) -> FittedLatencyModel | None:
@@ -144,9 +141,6 @@ class OfflineProfiler:
         for cfg, batch in grid:
             for _ in range(self.plan.inference_repeats):
                 t = oracle.inference_time(cfg, batch)
-                self.store.record_timing(
-                    name, cfg.key, MetricKind.INFERENCE, t, batch=batch
-                )
                 amount = (
                     cfg.cpu_cores if cfg.backend is Backend.CPU else cfg.gpu_fraction
                 )
@@ -159,7 +153,6 @@ class OfflineProfiler:
 
     def _estimate_init(
         self,
-        name: str,
         oracle: GroundTruthPerformance,
         config: HardwareConfig,
         *,
@@ -169,8 +162,6 @@ class OfflineProfiler:
             samples = oracle.sample_swap(config, self.plan.init_repeats)
         else:
             samples = oracle.sample_init(config, self.plan.init_repeats)
-        for v in samples:
-            self.store.record_timing(name, config.key, MetricKind.INIT, float(v))
         return estimate_init_time(samples)
 
 

@@ -57,6 +57,10 @@ _STATUS_CODES = {
     "unfinished": 504,
 }
 
+#: Seconds the idle pump waits for a new request before re-checking for
+#: due simulation work.
+_IDLE_POLL = 0.02
+
 
 class LiveServer:
     """One live serving session: HTTP front door + simulation pump."""
@@ -70,7 +74,6 @@ class LiveServer:
         port: int = 0,
         log: RequestLogWriter | None = None,
         max_requests: int | None = None,
-        idle_poll: float = 0.02,
     ) -> None:
         self.driver = driver
         self.pacer = pacer
@@ -78,7 +81,6 @@ class LiveServer:
         self._requested_port = port
         self.log = log
         self.max_requests = max_requests
-        self._idle_poll = idle_poll
         self._inbox: deque[tuple[str, str | None, asyncio.Future]] = deque()
         self._wake = asyncio.Event()
         self._done = asyncio.Event()
@@ -198,7 +200,7 @@ class LiveServer:
                     self._wake.clear()
                     try:
                         await asyncio.wait_for(
-                            self._wake.wait(), timeout=self._idle_poll
+                            self._wake.wait(), timeout=_IDLE_POLL
                         )
                     except asyncio.TimeoutError:
                         pass

@@ -348,12 +348,6 @@ class RunMetrics:
             return self.billing.gpu_cost
         return self.billing.cpu_cost
 
-    def cpu_gpu_cost_ratio(self) -> float:
-        """CPU-to-GPU billed-cost ratio (Fig. 9a; ``inf`` if no GPU usage)."""
-        gpu = self.backend_cost(Backend.GPU)
-        cpu = self.backend_cost(Backend.CPU)
-        return cpu / gpu if gpu > 0 else float("inf")
-
     # -- latency / SLA ----------------------------------------------------------
     def latencies(self) -> np.ndarray:
         """E2E latencies of completed invocations (full retention only).
@@ -422,11 +416,6 @@ class RunMetrics:
         if self.stage_executions == 0:
             return 0.0
         return self.cold_stage_executions / self.stage_executions
-
-    def initializations_per_invocation(self) -> float:
-        """Mean container initializations per completed invocation."""
-        n = self.completed_count
-        return self.initializations / n if n else 0.0
 
     # -- fleet dynamics ----------------------------------------------------------
     def pods_over_time(self) -> np.ndarray:

@@ -83,7 +83,3 @@ class MultiAppSimulator:
     def run(self) -> dict[str, RunMetrics]:
         """Serve all traces to completion; metrics keyed by app name."""
         return self.runtime.run()
-
-    def total_cost(self, metrics: dict[str, RunMetrics] | None = None) -> float:
-        """Aggregate billed cost across all applications."""
-        return self.runtime.total_cost(metrics)

@@ -150,11 +150,6 @@ class Runtime:
         """Next instance id on this runtime's own counter."""
         return next(self._instance_ids)
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.events.now
-
     def add_app(
         self,
         app: AppDAG,
@@ -268,9 +263,3 @@ class Runtime:
             if not self.events.step():
                 break
         return {gw.app.name: gw.finalize() for gw in self.gateways}
-
-    def total_cost(self, metrics: dict[str, RunMetrics] | None = None) -> float:
-        """Aggregate billed cost across all applications."""
-        if metrics is None:
-            metrics = {gw.app.name: gw.metrics for gw in self.gateways}
-        return sum(m.total_cost() for m in metrics.values())

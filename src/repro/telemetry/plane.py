@@ -20,7 +20,7 @@ Hook-to-event mapping:
 ``batch_started``      ``prewarm_hit`` (first batch of a pre-warmed
                        instance), then per item ``stage_start``,
                        ``cold_start`` (cold items) and ``token_stage``
-                       (token-work items on a phase-split model)
+                       (token-work items on a token service model)
 ``stage_finished``     ``stage_finish``
 ``completed``          ``invocation_finished``, then ``sla_violation``
                        when the latency exceeds the SLA
@@ -139,7 +139,7 @@ class TelemetryPlane:
         token_split: tuple[float, float] | None = None
         if work is not None:
             model = self.gw.oracles[inst.fn_index].profile.service_model
-            if model is not None and hasattr(model, "split"):
+            if model is not None:
                 pre, dec = model.split(inst.config, batch_n, work)
                 if pre + dec > 0.0:
                     prefill = exec_time * pre / (pre + dec)

@@ -132,7 +132,7 @@ class TestLoading:
         assert plan.execution_fault_rate("f", 0.0) == 0.0
         assert plan.straggler_factor("f", "cpu", 0.0) == 1.0
         assert plan.extra_init_failure_rate(0.0) == 0.0
-        assert plan.max_machine == -1
+        assert plan.outages == ()
 
 
 class TestQueries:
@@ -175,15 +175,6 @@ class TestQueries:
         )
         assert plan.straggler_factor("f", "cpu", 0.0) == pytest.approx(2.0)
         assert plan.straggler_factor("f", "gpu", 0.0) == pytest.approx(6.0)
-
-    def test_max_machine_spans_all_outages(self):
-        plan = FaultPlan(
-            outages=(
-                MachineOutage(machine=2, start=0.0, end=1.0),
-                MachineOutage(machine=5, start=3.0, end=4.0),
-            )
-        )
-        assert plan.max_machine == 5
 
 
 class TestOverloadComposition:

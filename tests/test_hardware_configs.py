@@ -138,12 +138,6 @@ class TestConfigurationSpace:
         assert all(c.backend is Backend.CPU for c in space)
         assert len(space) == len(CPU_CORE_OPTIONS)
 
-    def test_by_key_lookup(self):
-        space = ConfigurationSpace.default()
-        assert space.by_key("gpu-50") == HardwareConfig.gpu(0.5)
-        with pytest.raises(KeyError):
-            space.by_key("gpu-55")
-
     def test_contains(self):
         space = ConfigurationSpace.cpu_only()
         assert HardwareConfig.cpu(2) in space

@@ -16,7 +16,12 @@ from repro.hardware.configs import HardwareConfig
 from repro.simulator import Runtime
 from repro.simulator.cluster import ModelResidencyCache
 from repro.telemetry import TraceRecorder, aggregate, to_dict, validate_event
-from repro.telemetry.events import InstanceSwappedIn, TokenStage
+from repro.telemetry.events import (
+    InstanceSwappedIn,
+    StageFinish,
+    StageStart,
+    TokenStage,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +79,25 @@ def test_llm_run_emits_valid_token_stages(llm_run):
         assert e.prefill > 0.0 and e.decode > 0.0
     # Work-dependent service: token totals vary across invocations.
     assert len({(e.tokens_in, e.tokens_out) for e in stages}) > 1
+
+
+def test_llm_token_split_sums_to_stage_duration(llm_run):
+    """prefill + decode is the stage's wall-clock execution time."""
+    _, _, recorder = llm_run
+    starts, finishes, stages = {}, {}, []
+    for e in recorder.events:
+        key = (getattr(e, "invocation_id", None), getattr(e, "function", None))
+        if isinstance(e, StageStart):
+            assert key not in starts
+            starts[key] = e.t
+        elif isinstance(e, StageFinish):
+            finishes[key] = e.t
+        elif isinstance(e, TokenStage):
+            stages.append((key, e))
+    assert stages
+    for key, e in stages:
+        duration = finishes[key] - starts[key]
+        assert e.prefill + e.decode == pytest.approx(duration, rel=1e-9)
 
 
 def test_llm_token_stages_cover_only_the_llm_function(llm_run):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.hardware import Backend, HardwareConfig
-from repro.simulator import FunctionDirective, Instance, InstanceState, Placement
+from repro.simulator import FunctionDirective, Instance, Placement
 from repro.simulator.invocation import Invocation, StageRecord
 from repro.simulator.metrics import InstanceUsage, RunMetrics
 
@@ -48,14 +48,12 @@ class TestRunMetricsAccounting:
         assert m.total_cost() == pytest.approx(sum(u.cost for u in usages))
         assert m.backend_cost(Backend.CPU) == pytest.approx(usages[0].cost)
         assert m.backend_cost(Backend.GPU) == pytest.approx(usages[1].cost)
-        assert m.cpu_gpu_cost_ratio() == pytest.approx(
-            usages[0].cost / usages[1].cost
-        )
 
     def test_cpu_gpu_ratio_without_gpu(self):
         m = RunMetrics(app="a", policy="p", sla=2.0)
         m.record_instance(make_usage())
-        assert m.cpu_gpu_cost_ratio() == float("inf")
+        assert m.backend_cost(Backend.CPU) > 0
+        assert m.backend_cost(Backend.GPU) == 0.0
 
     def test_cost_breakdown_sums_to_total(self):
         m = RunMetrics(app="a", policy="p", sla=2.0)
@@ -95,7 +93,7 @@ class TestRunMetricsAccounting:
         for _ in range(3):
             m.record_completion(1.0)
         assert m.reinit_fraction() == pytest.approx(0.3)
-        assert m.initializations_per_invocation() == pytest.approx(2.0)
+        assert m.initializations == 6 and m.completed_count == 3
 
     def test_reinit_fraction_no_executions(self):
         assert RunMetrics(app="a", policy="p", sla=2.0).reinit_fraction() == 0.0

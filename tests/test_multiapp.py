@@ -49,13 +49,6 @@ class TestCoRunning:
         ends = [m.duration for m in results.values()]
         assert ends[0] == ends[1]  # finalized at the same shared clock
 
-    def test_total_cost_aggregates(self):
-        sim = MultiAppSimulator(self.make_deps(), seed=0)
-        results = sim.run()
-        assert sim.total_cost(results) == pytest.approx(
-            sum(m.total_cost() for m in results.values())
-        )
-
     def test_capacity_contention_across_apps(self):
         """One app's fleet can starve another on a tiny shared cluster."""
         cluster = Cluster.build(n_machines=1, cores_per_machine=16)

@@ -129,8 +129,7 @@ class TestSpecValidation:
 
     def test_mechanism_queries_and_bucket(self):
         inert = OverloadSpec()
-        assert not inert.bounds_queues
-        assert not inert.admits
+        assert inert.queue_limit is None and inert.admission_rate is None
         assert not inert.breaks_circuits
         assert not inert.browns_out
         assert inert.make_bucket() is None
@@ -140,7 +139,7 @@ class TestSpecValidation:
             breaker_failures=2,
             brownout_queue_delay=1.0,
         )
-        assert armed.bounds_queues and armed.admits
+        assert armed.queue_limit == 8 and armed.admission_rate == 2.0
         assert armed.breaks_circuits and armed.browns_out
         bucket = armed.make_bucket()
         assert isinstance(bucket, TokenBucket)

@@ -44,10 +44,6 @@ class TestLatencyParams:
         with pytest.raises(ValueError):
             LatencyParams(lam=1.0, alpha=-1.0, beta=0.1, gamma=0.0)
 
-    def test_as_vector(self):
-        p = LatencyParams(1.0, 2.0, 3.0, 4.0)
-        np.testing.assert_array_equal(p.as_vector(), [1.0, 2.0, 3.0, 4.0])
-
 
 class TestInitTimeParams:
     def test_sample_positive_and_near_mean(self):
@@ -77,10 +73,6 @@ class TestPerfProfile:
         cold_cpu = trs_profile.expected_init_time(cpu16) + trs_profile.expected_inference_time(cpu16)
         cold_gpu = trs_profile.expected_init_time(gpu) + trs_profile.expected_inference_time(gpu)
         assert cold_gpu > cold_cpu
-
-    def test_latency_params_selector(self, trs_profile):
-        assert trs_profile.latency_params(Backend.CPU) is trs_profile.cpu
-        assert trs_profile.latency_params(Backend.GPU) is trs_profile.gpu
 
     def test_init_params_selector(self, trs_profile):
         assert trs_profile.init_params(Backend.CPU) is trs_profile.init_cpu

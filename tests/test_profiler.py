@@ -1,4 +1,4 @@
-"""Tests for the Offline Profiler: store, fitting, init estimates, campaigns."""
+"""Tests for the Offline Profiler: fitting, init estimates, campaigns."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,6 @@ from repro.hardware import Backend, GroundTruthPerformance, HardwareConfig
 from repro.profiler import (
     FunctionProfile,
     InitTimeEstimate,
-    MetricKind,
-    MetricSample,
-    MetricStore,
     OfflineProfiler,
     ProfilingPlan,
     estimate_init_time,
@@ -22,43 +19,6 @@ from repro.profiler import (
     smape,
 )
 from repro.profiler.fitting import FittedLatencyModel, mape
-
-
-class TestMetricStore:
-    def test_record_and_query_by_labels(self):
-        store = MetricStore()
-        store.record_timing("f1", "cpu-4", MetricKind.INFERENCE, 0.5, batch=2)
-        store.record_timing("f1", "gpu-10", MetricKind.INIT, 5.0)
-        store.record_timing("f2", "cpu-4", MetricKind.INFERENCE, 0.7)
-        assert len(store) == 3
-        assert len(store.query(function="f1")) == 2
-        assert len(store.query(kind=MetricKind.INIT)) == 1
-        assert len(store.query(function="f1", config_key="cpu-4", batch=2)) == 1
-
-    def test_values_array(self):
-        store = MetricStore()
-        store.record_timing("f", "cpu-1", MetricKind.INIT, 1.0)
-        store.record_timing("f", "cpu-1", MetricKind.INIT, 3.0)
-        np.testing.assert_allclose(store.values(function="f"), [1.0, 3.0])
-
-    def test_functions_listing(self):
-        store = MetricStore()
-        store.record_timing("b", "cpu-1", MetricKind.INIT, 1.0)
-        store.record_timing("a", "cpu-1", MetricKind.INIT, 1.0)
-        store.record_timing("b", "cpu-1", MetricKind.INIT, 1.0)
-        assert store.functions() == ("b", "a")
-
-    def test_clear(self):
-        store = MetricStore()
-        store.record_timing("f", "cpu-1", MetricKind.INIT, 1.0)
-        store.clear()
-        assert len(store) == 0
-
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            MetricSample("f", "cpu-1", 1, MetricKind.INIT, -1.0)
-        with pytest.raises(ValueError):
-            MetricSample("f", "cpu-1", 0, MetricKind.INIT, 1.0)
 
 
 class TestFitting:
@@ -200,11 +160,20 @@ class TestOfflineProfiler:
         assert smape(actual, pred) < 20.0
 
     def test_profile_records_measurements(self, profiler):
-        oracle = GroundTruthPerformance(get_profile("IR"), rng=1)
-        profiler.profile_function("IR", oracle)
+        drawn = {"inference": 0, "init": 0}
+
+        class CountingOracle(GroundTruthPerformance):
+            def inference_time(self, config, batch=1, work=None):
+                drawn["inference"] += 1
+                return super().inference_time(config, batch, work)
+
+            def sample_init(self, config, n):
+                drawn["init"] += n
+                return super().sample_init(config, n)
+
+        profiler.profile_function("IR", CountingOracle(get_profile("IR"), rng=1))
         # 25 CPU + 50 GPU inference samples + 2 x 10 init samples
-        assert len(profiler.store.query(kind=MetricKind.INFERENCE)) == 75
-        assert len(profiler.store.query(kind=MetricKind.INIT)) == 20
+        assert drawn == {"inference": 75, "init": 20}
 
     def test_robust_init_above_mean(self, profiler):
         oracle = GroundTruthPerformance(get_profile("TG"), rng=2)

@@ -49,7 +49,8 @@ def test_pack_specs_cover_every_policy():
     assert overload.apps == ("image-query",)
     assert overload.policies == tuple(policy_names())
     assert overload.overload is not None
-    assert overload.overload.bounds_queues and overload.overload.admits
+    assert overload.overload.queue_limit is not None
+    assert overload.overload.admission_rate is not None
     assert overload.faults is not None and overload.faults.flash_crowds
     with pytest.raises(KeyError, match="unknown scenario pack"):
         pack_spec("nope")

@@ -265,7 +265,6 @@ class TestMetricsPlumbing:
         m = run(app, trace, AlwaysOnPolicy(config=HardwareConfig.gpu(0.2)))
         assert m.backend_cost(Backend.GPU) > 0
         assert m.backend_cost(Backend.CPU) == 0
-        assert m.cpu_gpu_cost_ratio() == 0.0
 
     def test_arrival_samples_sum_to_trace(self):
         app = linear_pipeline(1, models=("IR",))
